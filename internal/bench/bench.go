@@ -100,6 +100,10 @@ type Options struct {
 	TinyLR bool
 	// Seed makes every experiment reproducible.
 	Seed uint64
+	// Latency is the modeled per-round message cost of the timing
+	// tables (0: bgw.DefaultLatency, the paper's 0.1 s). It enters the
+	// modeled columns only, never the measured one.
+	Latency time.Duration
 	// RecvTimeout bounds each chaos-mesh receive attempt in the chaos
 	// experiment (0: 50ms).
 	RecvTimeout time.Duration

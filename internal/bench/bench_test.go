@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tiny returns options small enough for unit tests.
@@ -179,6 +180,28 @@ func TestLRTimingRuns(t *testing.T) {
 	}
 	if r.noise >= r.total {
 		t.Fatal("noise time must be below total time")
+	}
+}
+
+// TestLRMeasuredExcludesModeledLatency: the measured column is
+// wall-clock only. With a 10 s modeled round the set-up phase alone
+// models 10 s, so a measured time folding it in would exceed the
+// wall-clock of the whole call.
+func TestLRMeasuredExcludesModeledLatency(t *testing.T) {
+	o := tiny()
+	o.Latency = 10 * time.Second
+	start := time.Now()
+	r := lrTiming(o, 40, 8, 4)
+	wall := time.Since(start)
+	if r.extrapolated || r.total <= 0 {
+		t.Fatalf("LR timing = %+v", r)
+	}
+	if r.measured <= 0 || r.measured >= wall {
+		t.Fatalf("measured %v not below the call's wall-clock %v", r.measured, wall)
+	}
+	// Modeled: set-up round + the gradient's 3 rounds at 10 s each.
+	if floor := r.measured + 4*o.Latency; r.total < floor {
+		t.Fatalf("total %v below measured + 4 modeled rounds (%v)", r.total, floor)
 	}
 }
 

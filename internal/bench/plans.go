@@ -10,12 +10,14 @@ import (
 
 // Plans measures the level scheduler on the lr3 cube circuit: for each
 // batch size B it compiles the degree-4 gradient circuit (square, cube,
-// fused inner product — multiplicative depth 3) and executes the SAME
-// plan twice over the actor engine, planned (each level one batched
-// reshare exchange) and eager (one round per gate). The table shows why
+// fused inner product — multiplicative depth 3) and executes it over
+// the actor engine, each level one batched reshare exchange. Eager
+// gate-by-gate execution (one round per gate) is reported from the
+// plan's closed forms, EagerRounds and EagerFrames. The table shows why
 // planned wire rounds equal depth + 2 for every B while eager rounds
-// grow linearly, with the measured frame counters alongside; outputs
-// must stay bit-identical, which the last column asserts.
+// grow linearly, with the measured frame counters alongside; the last
+// column asserts the opened outputs match the plain interpreter bit for
+// bit.
 func Plans(o Options) *Table {
 	o = o.Defaults()
 	const parties, d = 4, 3
@@ -36,24 +38,25 @@ func Plans(o Options) *Table {
 		Notes: []string{
 			"planned rounds = multiplicative depth + input round + output round, independent of B",
 			"frames are physical sends; one batched level reshares in P(P-1) frames regardless of gate count",
+			"eager columns are closed forms: one round and one P(P-1) exchange per mul gate and per output",
 		},
 	}
 
 	for _, B := range batches {
 		plan := cubePlan(parties, d, B, int64(o.Seed))
-		pRounds, pFrames, pOut, err := runPlan(plan, parties, o.Seed^uint64(B), false)
+		pRounds, pFrames, pOut, err := runPlan(plan, parties, o.Seed^uint64(B))
 		if err != nil {
 			tbl.Notes = append(tbl.Notes, fmt.Sprintf("B=%d planned: %v", B, err))
 			continue
 		}
-		eRounds, eFrames, eOut, err := runPlan(plan, parties, o.Seed^uint64(B)<<1, true)
+		want, err := plan.Plain(circuit.Bindings{})
 		if err != nil {
-			tbl.Notes = append(tbl.Notes, fmt.Sprintf("B=%d eager: %v", B, err))
+			tbl.Notes = append(tbl.Notes, fmt.Sprintf("B=%d plain: %v", B, err))
 			continue
 		}
-		match := len(pOut) == len(eOut)
+		match := true
 		for i := range pOut {
-			match = match && pOut[i] == eOut[i]
+			match = match && pOut[i] == want.Opened(i)
 		}
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprint(B),
@@ -61,7 +64,7 @@ func Plans(o Options) *Table {
 			fmt.Sprint(plan.Gates()),
 			fmt.Sprint(plan.MulGates()),
 			fmt.Sprint(pRounds), fmt.Sprint(pFrames),
-			fmt.Sprint(eRounds), fmt.Sprint(eFrames),
+			fmt.Sprint(plan.EagerRounds()), fmt.Sprint(plan.EagerFrames()),
 			fmt.Sprint(match),
 		})
 	}
@@ -104,13 +107,13 @@ func cubePlan(parties, d, B int, seed int64) *circuit.Plan {
 
 // runPlan executes the plan on a fresh actor engine over a channel mesh
 // and returns the measured wire rounds, frames and opened outputs.
-func runPlan(plan *circuit.Plan, parties int, seed uint64, eager bool) (rounds, frames int64, outs []int64, err error) {
+func runPlan(plan *circuit.Plan, parties int, seed uint64) (rounds, frames int64, outs []int64, err error) {
 	eng, err := bgw.NewActorEngine(bgw.Config{Parties: parties, Seed: seed}, transport.NewChanMesh(parties))
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	defer eng.Close()
-	res, err := plan.ExecuteOpts(eng, circuit.Bindings{}, circuit.ExecOptions{Eager: eager})
+	res, err := plan.Execute(eng, circuit.Bindings{})
 	if err != nil {
 		return 0, 0, nil, err
 	}

@@ -72,7 +72,7 @@ func pcaTiming(o Options, m, n, parties int) timingResult {
 	threshold := (parties - 1) / 2
 	est, estNoise := estimatePCAOps(m, n, parties, threshold, parties)
 	params := core.Params{
-		Gamma: 18, Mu: 1e6, NumClients: parties,
+		Gamma: 18, Mu: 1e6, NumClients: parties, Latency: o.Latency,
 		Engine: core.EngineBGW, Parties: parties, Threshold: threshold, Seed: o.Seed,
 	}
 	if est <= o.RealBGWBudget {
@@ -126,14 +126,17 @@ func lrTiming(o Options, m, n, parties int) timingResult {
 	if err != nil {
 		return timingResult{}
 	}
-	run := func(feat *linalg.Matrix, labels []float64) (*core.Trace, time.Duration, error) {
+	// run returns the gradient trace, the measured wall-clock of the
+	// data-sharing phase and its modeled latency (rounds × Lat), which
+	// goes into total only, never into measured.
+	run := func(feat *linalg.Matrix, labels []float64) (*core.Trace, time.Duration, time.Duration, error) {
 		start := time.Now()
 		proto, err := core.NewLRProtocol(feat, labels, core.Params{
-			Gamma: 18, Mu: 1e6, NumClients: parties,
+			Gamma: 18, Mu: 1e6, NumClients: parties, Latency: o.Latency,
 			Engine: core.EngineBGW, Parties: parties, Threshold: threshold, Seed: o.Seed,
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		defer proto.Close()
 		setup := time.Since(start)
@@ -144,17 +147,16 @@ func lrTiming(o Options, m, n, parties int) timingResult {
 		w := randx.New(o.Seed).GaussianVec(feat.Cols, 0.2)
 		_, tr, err := proto.GradientSum(w, batch)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		setupLat := time.Duration(proto.SetupStats().Rounds) * tr.Lat
-		return tr, setup + setupLat, err
+		return tr, setup, proto.SetupStats().NetTime(tr.Lat), nil
 	}
 	if est <= o.RealBGWBudget {
-		tr, setup, err := run(ds.X, ds.Labels)
+		tr, setup, setupLat, err := run(ds.X, ds.Labels)
 		if err != nil {
 			return timingResult{}
 		}
-		return timingResult{total: tr.TotalTime() + setup, noise: tr.NoiseTime(), measured: tr.Compute + setup}
+		return timingResult{total: tr.TotalTime() + setup + setupLat, noise: tr.NoiseTime(), measured: tr.Compute + setup}
 	}
 	// Extrapolate from a narrower feature set.
 	calD := d
@@ -168,7 +170,7 @@ func lrTiming(o Options, m, n, parties int) timingResult {
 	for i := 0; i < m; i++ {
 		copy(calX.Row(i), ds.X.Row(i)[:calD])
 	}
-	tr, setup, err := run(calX, ds.Labels)
+	tr, setup, setupLat, err := run(calX, ds.Labels)
 	if err != nil || tr.Stats.FieldOps == 0 {
 		return timingResult{}
 	}
@@ -177,7 +179,7 @@ func lrTiming(o Options, m, n, parties int) timingResult {
 	_, wantNoise := estimateLROps(m, d, parties, threshold, parties)
 	noiseScale := float64(wantNoise) / float64(maxI64(calNoise, 1))
 	lat := tr.Stats.NetTime(tr.Lat)
-	total := time.Duration(float64(tr.Compute+setup)*scale) + lat
+	total := time.Duration(float64(tr.Compute+setup)*scale) + lat + setupLat
 	noise := time.Duration(float64(tr.NoiseCompute)*noiseScale) + time.Duration(tr.NoiseRounds)*tr.Lat
 	return timingResult{total: total, noise: noise, measured: tr.Compute + setup, extrapolated: true}
 }

@@ -1,6 +1,7 @@
 package bgw
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -43,6 +44,11 @@ type ActorEngine struct {
 	rounds          int64
 	err             error
 	closed          bool
+
+	// Plan execution (Runner): the program of the current execution
+	// and the count of executions begun.
+	prog  *Program
+	epoch uint64
 
 	baseRounds, baseFrames, baseMsgs, baseBytes, baseOps int64
 
@@ -118,6 +124,7 @@ func NewActorEngine(cfg Config, mesh transport.Mesh) (*ActorEngine, error) {
 			id: i, p: cfg.Parties, t: t,
 			rng:     root.Fork(),
 			weights: weights,
+			sub:     make([]field.Elem, cfg.Parties),
 			conn:    mesh.Conn(i),
 			cmds:    make(chan *actorCmd, 256),
 			workers: cfg.Workers,
@@ -226,12 +233,15 @@ func (e *ActorEngine) dispatch(c *actorCmd) bool {
 }
 
 // await collects exactly one reply per party and latches the first
-// error into the engine's sticky failure state.
+// error into the engine's sticky failure state. A failing party tears
+// its endpoint down, so its peers fail too with transport.ErrClosed;
+// the latched error is the root cause whenever one party reports it,
+// whatever order the replies arrive in.
 func (e *ActorEngine) await(c *actorCmd) []actorReply {
 	replies := make([]actorReply, e.p)
 	for i := 0; i < e.p; i++ {
 		r := <-c.reply
-		if r.err != nil && e.err == nil {
+		if r.err != nil && (e.err == nil || errors.Is(e.err, transport.ErrClosed) && !errors.Is(r.err, transport.ErrClosed)) {
 			e.err = r.err
 			if e.rec != nil {
 				e.rec.Event(obs.LevelWarn, "bgw.party.failed",
@@ -578,4 +588,86 @@ func (e *ActorEngine) OpenVec(v Vec) []int64 {
 		return make([]int64, v.Len())
 	}
 	return replies[0].vals
+}
+
+// ---- plan execution (Runner) ----
+
+// Begin implements Runner: it resolves the external vectors to the
+// parties' vector slots and broadcasts a private copy of the bindings,
+// which the parties read while the caller is free to reuse its own.
+func (e *ActorEngine) Begin(prog *Program, bind Binding) {
+	x := &actorExec{
+		prog:      prog,
+		consts:    make([]field.Elem, len(bind.Consts)),
+		inputs:    append([]int64(nil), bind.Inputs...),
+		inputVecs: make([][]int64, len(bind.InputVecs)),
+		indices:   append([]int(nil), bind.Indices...),
+		ext:       make([]int, len(bind.ExtVecs)),
+	}
+	for k, v := range bind.ExtVecs {
+		x.ext[k] = e.vecRef(v)
+	}
+	for k, c := range bind.Consts {
+		x.consts[k] = field.FromInt64(c)
+	}
+	for k, vs := range bind.InputVecs {
+		x.inputVecs[k] = append([]int64(nil), vs...)
+	}
+	e.epoch++
+	e.prog = prog
+	e.dispatch(&actorCmd{op: opBegin, exec: x})
+}
+
+// Epoch implements Runner.
+func (e *ActorEngine) Epoch() uint64 { return e.epoch }
+
+// ShareInputs implements Runner: one broadcast; every input crosses the
+// transport as one frame from its owner to each peer.
+func (e *ActorEngine) ShareInputs() { e.dispatch(&actorCmd{op: opInputs}) }
+
+// RunLocal implements Runner: one broadcast; each party runs the level's
+// linear closure on its own column.
+func (e *ActorEngine) RunLocal(level int) { e.dispatch(&actorCmd{op: opLocal, k: level}) }
+
+// RunMul implements Runner: one broadcast; the parties run the level as
+// one batched reshare exchange.
+func (e *ActorEngine) RunMul(level int) { e.dispatch(&actorCmd{op: opLevel, k: level}) }
+
+// RunOpen implements Runner: the parties open every output and party 0
+// reports them. After a failure the outputs read zero (see Err).
+func (e *ActorEngine) RunOpen() ([]int64, [][]int64) {
+	c := &actorCmd{op: opOpens, reply: make(chan actorReply, e.p)}
+	if e.dispatch(c) {
+		r := e.await(c)[0]
+		if e.err == nil {
+			return r.vals, r.vecs
+		}
+	}
+	code := e.prog.code(e.prog.Opens)
+	scalars := openScalars(code)
+	var opened []int64
+	if scalars > 0 {
+		opened = make([]int64, scalars)
+	}
+	vecs := make([][]int64, 0, len(code)-scalars)
+	for _, in := range code[scalars:] {
+		vecs = append(vecs, make([]int64, in.N))
+	}
+	return opened, vecs
+}
+
+// Keep implements Runner: every party copies its share in slot out of
+// the arena into a scalar slot of its own.
+func (e *ActorEngine) Keep(slot int32) Val {
+	ref := e.newSc()
+	e.dispatch(&actorCmd{op: opKeep, a: int(slot)})
+	return &ActorShared{eng: e, ref: ref}
+}
+
+// KeepVec implements Runner: every party copies its n shares at ref out
+// of the arena (or out of the bound external vector).
+func (e *ActorEngine) KeepVec(ref int32, n int) Vec {
+	vref := e.newVec()
+	e.dispatch(&actorCmd{op: opKeepVec, a: int(ref), k: n})
+	return &ActorVec{eng: e, ref: vref, n: n}
 }

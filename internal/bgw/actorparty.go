@@ -39,6 +39,14 @@ const (
 	opMulBatch
 	opOpenBatch
 	opSetWorkers
+	// Plan execution (Runner): one command per step, not per node.
+	opBegin
+	opInputs
+	opLocal
+	opLevel
+	opOpens
+	opKeep
+	opKeepVec
 )
 
 // mulDesc is the wire form of one MulBatch item: operand slots resolved
@@ -66,7 +74,19 @@ type actorCmd struct {
 	refs2   []int        // operand list B
 	muls    []mulDesc    // gate list (opMulBatch)
 	weights []field.Elem // Lagrange weights (opAdditive)
+	exec    *actorExec   // one execution's bindings (opBegin)
 	reply   chan actorReply
+}
+
+// actorExec is one plan execution's bindings, copied facade-side so the
+// parties can read them while the caller reuses its own buffers.
+type actorExec struct {
+	prog      *Program
+	consts    []field.Elem
+	inputs    []int64
+	inputVecs [][]int64
+	indices   []int
+	ext       []int // vector slots of the bound external vectors
 }
 
 // actorReply is one party's answer to a synchronizing command.
@@ -74,6 +94,7 @@ type actorReply struct {
 	party int
 	val   int64
 	vals  []int64
+	vecs  [][]int64
 	elem  field.Elem
 	ops   int64
 	err   error
@@ -95,6 +116,18 @@ type actorParty struct {
 	dec      []field.Elem   // decode scratch, reused across rounds
 	fieldOps int64
 	err      error
+
+	// Plan execution: the party's arena column, recycled by every
+	// opBegin, and the scratch its steps reuse.
+	arena    []field.Elem
+	ext      [][]field.Elem
+	k        kernel
+	highs    []field.Elem
+	reshared []field.Elem // degree-t shares out of a reshare
+	sub      []field.Elem // one value's P sub-shares
+	opened   []field.Elem // reconstructed values of an opening
+	mine     []field.Elem // this party's shares of an opening
+	bufs     [][]byte     // per-peer send frames of the current round
 }
 
 func (a *actorParty) run() {
@@ -126,7 +159,11 @@ func (a *actorParty) exec(c *actorCmd) error {
 	case opInputElem:
 		return a.input(c.owner, c.elem)
 	case opInputVec:
-		return a.inputVec(c.owner, c.ints)
+		mine := make([]field.Elem, len(c.ints))
+		if err := a.shareInput(c.owner, mine, func(k int) field.Elem { return field.FromInt64(c.ints[k]) }); err != nil {
+			return err
+		}
+		a.vc = append(a.vc, mine)
 	case opZero:
 		a.sc = append(a.sc, 0)
 	case opAdd:
@@ -207,11 +244,7 @@ func (a *actorParty) exec(c *actorCmd) error {
 		}
 		r := actorReply{party: a.id}
 		if a.id == 0 {
-			out := make([]int64, len(vals))
-			for k, v := range vals {
-				out[k] = field.ToInt64(v)
-			}
-			r.vals = out
+			r.vals = toInt64s(vals)
 		}
 		c.reply <- r
 	case opMulBatch:
@@ -263,11 +296,7 @@ func (a *actorParty) exec(c *actorCmd) error {
 		}
 		r := actorReply{party: a.id}
 		if a.id == 0 {
-			out := make([]int64, len(vals))
-			for k, v := range vals {
-				out[k] = field.ToInt64(v)
-			}
-			r.vals = out
+			r.vals = toInt64s(vals)
 		}
 		c.reply <- r
 	case opAdditive:
@@ -276,120 +305,90 @@ func (a *actorParty) exec(c *actorCmd) error {
 		c.reply <- actorReply{party: a.id, ops: a.fieldOps}
 	case opSetWorkers:
 		a.workers = c.k
+	case opBegin:
+		a.begin(c.exec)
+	case opInputs:
+		return a.shareInputs()
+	case opLocal:
+		lv := &a.k.prog.Levels[c.k]
+		a.k.local(a.k.prog.code(lv.Local))
+		a.fieldOps += lv.LocalOps
+	case opLevel:
+		return a.mulLevel(c.k)
+	case opOpens:
+		return a.openLevel(c)
+	case opKeep:
+		a.sc = append(a.sc, a.k.s[c.a])
+	case opKeepVec:
+		a.vc = append(a.vc, append([]field.Elem(nil), a.k.vec(int32(c.a), int32(c.k))...))
 	default:
 		return fmt.Errorf("unknown opcode %d", c.op)
 	}
 	return nil
 }
 
-// input runs one sharing round: the owner Shamir-shares the value and
-// sends each peer its share; everyone else receives theirs.
-func (a *actorParty) input(owner int, v field.Elem) error {
-	if owner == a.id {
-		sh := shamir.Share(v, a.t, a.p, a.rng)
-		a.fieldOps += int64(a.p * (a.t + 1))
-		for j := 0; j < a.p; j++ {
+// shareInput runs one input exchange: the owner Shamir-shares the
+// len(dst) values value(k) from its stream and sends each peer one
+// frame with that peer's shares; the others decode theirs. Every party
+// ends with its own shares in dst.
+func (a *actorParty) shareInput(owner int, dst []field.Elem, value func(k int) field.Elem) error {
+	if owner != a.id {
+		buf, err := a.conn.Recv(owner)
+		if err != nil {
+			return err
+		}
+		return decodeElems(dst, buf, owner, "input")
+	}
+	n := len(dst)
+	bufs := a.frames(8 * n)
+	for k := range dst {
+		shamir.ShareInto(a.sub, value(k), a.t, a.rng)
+		for j, b := range bufs {
 			if j == a.id {
-				continue
-			}
-			buf := transport.GetPayload(8)
-			putElem(buf, sh[j])
-			if err := a.conn.Send(j, buf); err != nil {
-				return err
+				dst[k] = a.sub[j]
+			} else {
+				putElem(b[8*k:], a.sub[j])
 			}
 		}
-		a.sc = append(a.sc, sh[a.id])
-		return nil
 	}
-	buf, err := a.conn.Recv(owner)
-	if err != nil {
-		return err
-	}
-	if len(buf) != 8 {
-		return fmt.Errorf("bad share payload from party %d: %d bytes", owner, len(buf))
-	}
-	a.sc = append(a.sc, getElem(buf))
-	return nil
+	a.fieldOps += int64(n * a.p * (a.t + 1))
+	return a.sendFrames(n)
 }
 
-// inputVec shares a whole vector in one batched message per peer.
-func (a *actorParty) inputVec(owner int, vs []int64) error {
-	n := len(vs)
-	if owner == a.id {
-		mine := make([]field.Elem, n)
-		bufs := make([][]byte, a.p)
-		for j := range bufs {
-			if j != a.id {
-				bufs[j] = transport.GetPayload(8 * n)
-			}
-		}
-		for k, v := range vs {
-			sh := shamir.Share(field.FromInt64(v), a.t, a.p, a.rng)
-			for j := 0; j < a.p; j++ {
-				if j == a.id {
-					mine[k] = sh[j]
-				} else {
-					putElem(bufs[j][8*k:], sh[j])
-				}
-			}
-		}
-		a.fieldOps += int64(n * a.p * (a.t + 1))
-		for j := 0; j < a.p; j++ {
-			if j == a.id {
-				continue
-			}
-			if err := a.conn.SendN(j, bufs[j], n); err != nil {
-				return err
-			}
-		}
-		a.vc = append(a.vc, mine)
-		return nil
-	}
-	buf, err := a.conn.Recv(owner)
-	if err != nil {
+// input shares one scalar into a new scalar slot.
+func (a *actorParty) input(owner int, v field.Elem) error {
+	var got [1]field.Elem
+	if err := a.shareInput(owner, got[:], func(int) field.Elem { return v }); err != nil {
 		return err
 	}
-	if len(buf) != 8*n {
-		return fmt.Errorf("bad vector payload from party %d: %d bytes for %d elems", owner, len(buf), n)
-	}
-	mine := make([]field.Elem, n)
-	for k := range mine {
-		mine[k] = getElem(buf[8*k:])
-	}
-	a.vc = append(a.vc, mine)
+	a.sc = append(a.sc, got[0])
 	return nil
 }
 
 // reshare runs one degree-reduction round for a batch of degree-2t
-// values: Shamir-share each local value, send every peer its sub-shares
-// in one message, and combine the received sub-shares with the Lagrange
-// weights. Sends never block (transport guarantee), so the
-// all-send-then-all-receive shape cannot deadlock. Send buffers come
-// from the transport frame pool; received payloads are decoded into the
-// party's scratch before the next Recv, per the transport ownership
-// rule.
+// values: Shamir-share each local value (value-major on the party's
+// stream), send every peer its sub-shares in one frame, and combine the
+// received sub-shares with the Lagrange weights. Sends never block
+// (transport guarantee), so the all-send-then-all-receive shape cannot
+// deadlock. Received payloads are decoded into the party's scratch
+// before the next Recv, per the transport ownership rule. The result is
+// party scratch, valid until the next reshare.
 func (a *actorParty) reshare(highs []field.Elem) ([]field.Elem, error) {
 	n := len(highs)
-	subs := make([][]field.Elem, n)
+	bufs := a.frames(8 * n)
+	a.reshared = growElems(a.reshared, n)
+	out, wi := a.reshared, a.weights[a.id]
 	for m, h := range highs {
-		subs[m] = shamir.Share(h, a.t, a.p, a.rng)
+		shamir.ShareInto(a.sub, h, a.t, a.rng)
+		for j, b := range bufs {
+			if j != a.id {
+				putElem(b[8*m:], a.sub[j])
+			}
+		}
+		out[m] = field.Mul(wi, a.sub[a.id])
 	}
-	for j := 0; j < a.p; j++ {
-		if j == a.id {
-			continue
-		}
-		buf := transport.GetPayload(8 * n)
-		for m := range subs {
-			putElem(buf[8*m:], subs[m][j])
-		}
-		if err := a.conn.SendN(j, buf, n); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]field.Elem, n)
-	wi := a.weights[a.id]
-	for m := range out {
-		out[m] = field.Mul(wi, subs[m][a.id])
+	if err := a.sendFrames(n); err != nil {
+		return nil, err
 	}
 	a.dec = growElems(a.dec, n)
 	for j := 0; j < a.p; j++ {
@@ -400,11 +399,8 @@ func (a *actorParty) reshare(highs []field.Elem) ([]field.Elem, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(buf) != 8*n {
-			return nil, fmt.Errorf("bad reshare payload from party %d: %d bytes for %d values", j, len(buf), n)
-		}
-		for m := range a.dec {
-			a.dec[m] = getElem(buf[8*m:])
+		if err := decodeElems(a.dec, buf, j, "reshare"); err != nil {
+			return nil, err
 		}
 		field.MulAddVec(out, a.dec, a.weights[j])
 	}
@@ -416,28 +412,24 @@ func (a *actorParty) reshare(highs []field.Elem) ([]field.Elem, error) {
 
 // openValues runs one opening round for a batch of shared values: every
 // party broadcasts its shares and reconstructs by Lagrange
-// interpolation at zero.
+// interpolation at zero. The result is party scratch, valid until the
+// next opening.
 func (a *actorParty) openValues(mine []field.Elem) ([]field.Elem, error) {
 	n := len(mine)
-	out := make([]byte, 8*n)
-	for m, v := range mine {
-		putElem(out[8*m:], v)
-	}
-	for j := 0; j < a.p; j++ {
+	for j, b := range a.frames(8 * n) {
 		if j == a.id {
 			continue
 		}
-		// Each peer gets its own pooled copy: the transport owns
-		// payloads after Send.
-		b := transport.GetPayload(8 * n)
-		copy(b, out)
-		if err := a.conn.SendN(j, b, n); err != nil {
-			return nil, err
+		for m, v := range mine {
+			putElem(b[8*m:], v)
 		}
 	}
-	vals := make([]field.Elem, n)
-	wi := a.weights[a.id]
-	field.MulConstVec(vals, mine, wi)
+	if err := a.sendFrames(n); err != nil {
+		return nil, err
+	}
+	a.opened = growElems(a.opened, n)
+	vals := a.opened
+	field.MulConstVec(vals, mine, a.weights[a.id])
 	a.dec = growElems(a.dec, n)
 	for j := 0; j < a.p; j++ {
 		if j == a.id {
@@ -447,11 +439,8 @@ func (a *actorParty) openValues(mine []field.Elem) ([]field.Elem, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(buf) != 8*n {
-			return nil, fmt.Errorf("bad opening payload from party %d: %d bytes for %d values", j, len(buf), n)
-		}
-		for m := range a.dec {
-			a.dec[m] = getElem(buf[8*m:])
+		if err := decodeElems(a.dec, buf, j, "opening"); err != nil {
+			return nil, err
 		}
 		field.MulAddVec(vals, a.dec, a.weights[j])
 	}
@@ -459,6 +448,121 @@ func (a *actorParty) openValues(mine []field.Elem) ([]field.Elem, error) {
 	return vals, nil
 }
 
-func putElem(b []byte, e field.Elem) { binary.BigEndian.PutUint64(b, uint64(e)) }
+// frames draws one pooled send frame of size bytes per peer into
+// a.bufs (the own index stays nil).
+func (a *actorParty) frames(size int) [][]byte {
+	if a.bufs == nil {
+		a.bufs = make([][]byte, a.p)
+	}
+	for j := range a.bufs {
+		if j != a.id {
+			a.bufs[j] = transport.GetPayload(size)
+		}
+	}
+	return a.bufs
+}
 
-func getElem(b []byte) field.Elem { return field.Elem(binary.BigEndian.Uint64(b)) }
+// sendFrames sends every peer its frame from a.bufs as one frame of
+// msgs logical messages; the transport owns the frames afterwards.
+func (a *actorParty) sendFrames(msgs int) error {
+	for j, b := range a.bufs {
+		if j == a.id {
+			continue
+		}
+		a.bufs[j] = nil
+		if err := a.conn.SendN(j, b, msgs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ---- plan execution (Runner) ----
+
+// begin points the party's kernel at its recycled arena column and the
+// execution's bindings.
+func (a *actorParty) begin(x *actorExec) {
+	a.arena = growElems(a.arena, x.prog.Slots)
+	a.ext = a.ext[:0]
+	for _, ref := range x.ext {
+		a.ext = append(a.ext, a.vc[ref])
+	}
+	a.k = kernel{prog: x.prog, s: a.arena, ext: a.ext, consts: x.consts,
+		indices: x.indices, inputs: x.inputs, inputVecs: x.inputVecs}
+}
+
+// shareInputs runs the input round in program order, every input one
+// exchange straight into the arena.
+func (a *actorParty) shareInputs() error {
+	prog := a.k.prog
+	for _, in := range prog.code(prog.Inputs) {
+		dst := a.k.s[in.Dst : in.Dst+in.width()]
+		if err := a.shareInput(int(in.B), dst, func(k int) field.Elem { return a.k.input(&in, int32(k)) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mulLevel computes the level's degree-2t products on the party's
+// column and reshares them in one frame per peer into the gates' slots.
+func (a *actorParty) mulLevel(level int) error {
+	lv := &a.k.prog.Levels[level]
+	code := a.k.prog.code(lv.Mul)
+	n := len(code)
+	a.highs = growElems(a.highs, n)
+	parallelChunks(n, clampWorkers(a.workers, n), func(_, lo, hi int) {
+		a.k.mul(code[lo:hi], a.highs[lo:hi])
+	})
+	a.fieldOps += lv.MulOps
+	out, err := a.reshare(a.highs)
+	if err != nil {
+		return err
+	}
+	for m, in := range code {
+		a.k.s[in.Dst] = out[m]
+	}
+	return nil
+}
+
+// openLevel opens the program's outputs: the scalars as one batch, each
+// vector as its own; party 0 reports the values.
+func (a *actorParty) openLevel(c *actorCmd) error {
+	code := a.k.prog.code(a.k.prog.Opens)
+	scalars := openScalars(code)
+	r := actorReply{party: a.id}
+	if scalars > 0 {
+		a.mine = growElems(a.mine, scalars)
+		for m, in := range code[:scalars] {
+			a.mine[m] = a.k.s[in.A]
+		}
+		vals, err := a.openValues(a.mine)
+		if err != nil {
+			return err
+		}
+		if a.id == 0 {
+			r.vals = toInt64s(vals)
+		}
+	}
+	for _, in := range code[scalars:] {
+		vals, err := a.openValues(a.k.vec(in.A, in.N))
+		if err != nil {
+			return err
+		}
+		if a.id == 0 {
+			r.vecs = append(r.vecs, toInt64s(vals))
+		}
+	}
+	c.reply <- r
+	return nil
+}
+
+func toInt64s(vals []field.Elem) []int64 {
+	out := make([]int64, len(vals))
+	for k, v := range vals {
+		out[k] = field.ToInt64(v)
+	}
+	return out
+}
+
+func putElem(b []byte, e field.Elem) { binary.BigEndian.PutUint64(b, uint64(e)) }

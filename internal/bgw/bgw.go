@@ -80,6 +80,7 @@ type Engine struct {
 	stats   Stats
 	workers int      // configured pool bound; see SetWorkers
 	scratch elemSlab // recycled P-width accumulators for batched rounds
+	run     arena    // plan-execution share arena (Runner)
 
 	rec          obs.Recorder // nil when telemetry is disabled
 	roundHist    *obs.Histogram
@@ -189,10 +190,7 @@ type Shared struct {
 func (e *Engine) Input(owner int, v int64) *Shared {
 	e.checkParty(owner)
 	sh := shamir.Share(field.FromInt64(v), e.t, e.p, e.rngs[owner])
-	e.stats.Frames += int64(e.p - 1)
-	e.stats.Messages += int64(e.p - 1)
-	e.stats.Bytes += 8 * int64(e.p-1)
-	e.stats.FieldOps += int64(e.p * (e.t + 1))
+	e.meterInput(1)
 	return &Shared{eng: e, shares: sh}
 }
 
@@ -202,10 +200,7 @@ func (e *Engine) Input(owner int, v int64) *Shared {
 func (e *Engine) InputElem(owner int, v field.Elem) *Shared {
 	e.checkParty(owner)
 	sh := shamir.Share(v, e.t, e.p, e.rngs[owner])
-	e.stats.Frames += int64(e.p - 1)
-	e.stats.Messages += int64(e.p - 1)
-	e.stats.Bytes += 8 * int64(e.p-1)
-	e.stats.FieldOps += int64(e.p * (e.t + 1))
+	e.meterInput(1)
 	return &Shared{eng: e, shares: sh}
 }
 
@@ -214,10 +209,7 @@ func (e *Engine) OpenElem(s *Shared) field.Elem {
 	if s.eng != e {
 		panic(invariant.Violation("bgw: foreign share"))
 	}
-	e.stats.Frames += int64(e.p * (e.p - 1))
-	e.stats.Messages += int64(e.p * (e.p - 1))
-	e.stats.Bytes += 8 * int64(e.p*(e.p-1))
-	e.stats.FieldOps += int64(e.p)
+	e.meterOpen(1)
 	return shamir.ReconstructWithWeights(e.weights, s.shares)
 }
 
@@ -322,13 +314,7 @@ func (e *Engine) reshareBatch(highs [][]field.Elem) []*Shared {
 			}
 		}
 	} else {
-		chunkRngs := make([][]*randx.RNG, w)
-		for c := 0; c < w; c++ {
-			chunkRngs[c] = make([]*randx.RNG, e.p)
-			for i := 0; i < e.p; i++ {
-				chunkRngs[c][i] = e.rngs[i].Fork()
-			}
-		}
+		chunkRngs := e.forkChunks(w)
 		parallelChunks(n, w, func(chunk, start, end int) {
 			rngs := chunkRngs[chunk]
 			for i := 0; i < e.p; i++ {
@@ -340,10 +326,7 @@ func (e *Engine) reshareBatch(highs [][]field.Elem) []*Shared {
 			}
 		})
 	}
-	e.stats.Frames += int64(e.p * (e.p - 1))
-	e.stats.Messages += int64(n * e.p * (e.p - 1))
-	e.stats.Bytes += 8 * int64(n*e.p*(e.p-1))
-	e.stats.FieldOps += int64(n * e.p * (e.p + e.t + 1))
+	e.meterReshare(int64(n))
 	return outs
 }
 
@@ -372,11 +355,50 @@ func (e *Engine) Open(s *Shared) int64 {
 	if s.eng != e {
 		panic(invariant.Violation("bgw: foreign share"))
 	}
-	e.stats.Frames += int64(e.p * (e.p - 1))
-	e.stats.Messages += int64(e.p * (e.p - 1))
-	e.stats.Bytes += 8 * int64(e.p*(e.p-1))
-	e.stats.FieldOps += int64(e.p)
+	e.meterOpen(1)
 	return field.ToInt64(shamir.ReconstructWithWeights(e.weights, s.shares))
+}
+
+// forkChunks forks every party stream once per chunk of a parallel
+// batch, serially in chunk order, so the randomness each chunk draws is
+// fixed by the worker count alone.
+func (e *Engine) forkChunks(w int) [][]*randx.RNG {
+	forks := make([][]*randx.RNG, w)
+	for c := range forks {
+		forks[c] = make([]*randx.RNG, e.p)
+		for i := range forks[c] {
+			forks[c][i] = e.rngs[i].Fork()
+		}
+	}
+	return forks
+}
+
+// meterInput accounts one input exchange of n values: the owner sends
+// one frame carrying its n shares to each of the P−1 other parties.
+func (e *Engine) meterInput(n int64) {
+	e.stats.Frames += int64(e.p - 1)
+	e.stats.Messages += n * int64(e.p-1)
+	e.stats.Bytes += 8 * n * int64(e.p-1)
+	e.stats.FieldOps += n * int64(e.p*(e.t+1))
+}
+
+// meterReshare accounts one batched degree reduction of n values: one
+// frame per ordered party pair.
+func (e *Engine) meterReshare(n int64) {
+	pp := int64(e.p * (e.p - 1))
+	e.stats.Frames += pp
+	e.stats.Messages += n * pp
+	e.stats.Bytes += 8 * n * pp
+	e.stats.FieldOps += n * int64(e.p*(e.p+e.t+1))
+}
+
+// meterOpen accounts one batched opening exchange of n values.
+func (e *Engine) meterOpen(n int64) {
+	pp := int64(e.p * (e.p - 1))
+	e.stats.Frames += pp
+	e.stats.Messages += n * pp
+	e.stats.Bytes += 8 * n * pp
+	e.stats.FieldOps += int64(e.p) * n
 }
 
 func (e *Engine) checkParty(i int) {

@@ -161,6 +161,16 @@ func (m monoEval) MulConst(a Val, c int64) Val           { return m.e.MulConst(a
 func (m monoEval) Mul(a, b Val) Val                      { return m.e.Mul(a.(*Shared), b.(*Shared)) }
 func (m monoEval) Open(s Val) int64                      { return m.e.Open(s.(*Shared)) }
 
+func (m monoEval) SetWorkers(n int) int              { return m.e.SetWorkers(n) }
+func (m monoEval) Begin(prog *Program, bind Binding) { m.e.Begin(prog, bind) }
+func (m monoEval) ShareInputs()                      { m.e.ShareInputs() }
+func (m monoEval) RunLocal(level int)                { m.e.RunLocal(level) }
+func (m monoEval) RunMul(level int)                  { m.e.RunMul(level) }
+func (m monoEval) RunOpen() ([]int64, [][]int64)     { return m.e.RunOpen() }
+func (m monoEval) Keep(slot int32) Val               { return m.e.Keep(slot) }
+func (m monoEval) KeepVec(ref int32, n int) Vec      { return m.e.KeepVec(ref, n) }
+func (m monoEval) Epoch() uint64                     { return m.e.Epoch() }
+
 func (m monoEval) InnerProduct(as, bs []Val) Val {
 	ca := make([]*Shared, len(as))
 	cb := make([]*Shared, len(bs))
@@ -267,10 +277,7 @@ func (m monoEval) OpenBatch(vals []Val) []int64 {
 		}
 		out[k] = field.ToInt64(shamir.ReconstructWithWeights(e.weights, s.shares))
 	}
-	e.stats.Frames += int64(e.p * (e.p - 1))
-	e.stats.Messages += int64(len(vals) * e.p * (e.p - 1))
-	e.stats.Bytes += 8 * int64(len(vals)*e.p*(e.p-1))
-	e.stats.FieldOps += int64(e.p * len(vals))
+	e.meterOpen(int64(len(vals)))
 	return out
 }
 

@@ -2,7 +2,6 @@ package bgw
 
 import (
 	"sqm/internal/field"
-	"sqm/internal/randx"
 	"sqm/internal/shamir"
 )
 
@@ -41,13 +40,7 @@ func (e *Engine) DotBatch(pairs []DotPair, workers int) []*Shared {
 		e.stats.Bytes += 8 * int64(e.p*(e.p-1))
 		e.stats.FieldOps += int64(e.p*p.A.Len() + e.p*(e.p+e.t+1))
 	}
-	chunkRngs := make([][]*randx.RNG, w)
-	for c := 0; c < w; c++ {
-		chunkRngs[c] = make([]*randx.RNG, e.p)
-		for i := 0; i < e.p; i++ {
-			chunkRngs[c][i] = e.rngs[i].Fork()
-		}
-	}
+	chunkRngs := e.forkChunks(w)
 	parallelChunks(len(pairs), w, func(chunk, start, end int) {
 		rngs := chunkRngs[chunk]
 		acc := make([]field.Elem, e.p)

@@ -33,10 +33,7 @@ func (e *Engine) InputVec(owner int, vs []int64) *SharedVec {
 			out.shares[i][k] = sh[i]
 		}
 	}
-	e.stats.Frames += int64(e.p - 1)
-	e.stats.Messages += int64(len(vs) * (e.p - 1))
-	e.stats.Bytes += 8 * int64(len(vs)*(e.p-1))
-	e.stats.FieldOps += int64(len(vs) * e.p * (e.t + 1))
+	e.meterInput(int64(len(vs)))
 	return out
 }
 
@@ -160,10 +157,7 @@ func (e *Engine) OpenVec(v *SharedVec) []int64 {
 		}
 		out[k] = field.ToInt64(shamir.ReconstructWithWeights(e.weights, sh))
 	}
-	e.stats.Frames += int64(e.p * (e.p - 1))
-	e.stats.Messages += int64(n * e.p * (e.p - 1))
-	e.stats.Bytes += 8 * int64(n*e.p*(e.p-1))
-	e.stats.FieldOps += int64(e.p * n)
+	e.meterOpen(int64(n))
 	return out
 }
 

@@ -1,17 +1,19 @@
 // Package circuit compiles SQM protocols to level-scheduled execution
 // plans. A recording Builder implements the bgw.Evaluator gate surface
 // but captures every operation into a DAG IR instead of executing it;
-// Compile levels the DAG by multiplicative depth; the resulting Plan
-// executes against any real bgw.Evaluator, running each level as ONE
-// batched communication round — all of a level's degree reductions
-// travel in a single reshare exchange (one frame per ordered party
-// pair), and the round count derives from the plan's structure instead
-// of hand-placed AdvanceRound calls.
+// Compile levels the DAG by multiplicative depth and lowers it to a
+// bgw.Program; the resulting Plan executes on either BGW engine
+// (bgw.Runner), running each level as ONE batched communication round —
+// all of a level's degree reductions travel in a single reshare
+// exchange (one frame per ordered party pair), and the round count
+// derives from the plan's structure instead of hand-placed AdvanceRound
+// calls.
 //
 // Protocols build their plan once and re-execute it per epoch or batch
 // with fresh bindings: public constants (ConstParam), per-run secret
-// inputs (InputParam/InputVecParam) and pre-existing engine shares
-// (ExtVal/ExtVec) are plan parameters filled in at execution time.
+// inputs (InputParam/InputVecParam), pre-existing engine vectors
+// (ExtVec) and element indices into them (IndexParam) are plan
+// parameters filled in at execution time.
 //
 // Because BGW computes exactly, opened values are bit-identical across
 // gate orderings and batchings — the plan executor is free to reorder
@@ -33,11 +35,9 @@ type nodeKind uint8
 const (
 	kZero nodeKind = iota
 	kInput
-	kInputElem
 	kInputVec
 	kInputParam
 	kInputVecParam
-	kExtVal
 	kExtVec
 	kAdd
 	kSub
@@ -49,6 +49,7 @@ const (
 	kInner
 	kDot
 	kAt
+	kAtIndex
 	kAddVec
 	kFromScalars
 	kOpen
@@ -61,35 +62,34 @@ func (k nodeKind) isMul() bool { return k == kMul || k == kInner || k == kDot }
 // isInput reports whether the node costs the input sharing round.
 func (k nodeKind) isInput() bool {
 	switch k {
-	case kInput, kInputElem, kInputVec, kInputParam, kInputVecParam:
+	case kInput, kInputVec, kInputParam, kInputVecParam:
 		return true
 	}
 	return false
 }
 
-// isVec reports whether the node produces a vector handle.
-func (k nodeKind) isVec() bool {
-	switch k {
-	case kInputVec, kInputVecParam, kExtVec, kAddVec, kFromScalars:
-		return true
-	}
-	return false
-}
-
-// node is one IR operation. Operand fields are interpreted per kind.
+// node is one IR operation: 16 bytes and pointer-free, so a recorded
+// circuit and the plan compiled from it are never scanned by the
+// garbage collector. Fields are interpreted per kind:
+//
+//	kInput                     a owner, b literal index
+//	kInputVec                  a owner, b first literal, n length
+//	kInputParam                a owner, b input param
+//	kInputVecParam             a owner, b input-vec param, n length
+//	kExtVec                    b external param, n length
+//	kAdd, kSub, kMul           a, b operands
+//	kAddConst, kMulConst       a operand, b literal index
+//	kAddConstP, kMulConstP     a operand, b const param
+//	kDot, kAddVec              a, b vector operands, n length
+//	kAt                        a vector, b element, n vector length
+//	kAtIndex                   a vector, b index param, n vector length
+//	kInner                     b offset into args (n ids of A, then n of B)
+//	kFromScalars               b offset into args, n length
+//	kOpen                      a operand
+//	kOpenVec                   a vector operand, n length
 type node struct {
-	kind  nodeKind
-	a, b  int        // operand node ids
-	k     int        // element index (kAt)
-	c     int64      // public constant (kInput, kAddConst, kMulConst)
-	elem  field.Elem // raw field input (kInputElem)
-	owner int        // input owner party
-	param int        // parameter slot (const/input/ext params)
-	ints  []int64    // literal input vector (kInputVec)
-	args  []int      // operand list A (kInner, kFromScalars)
-	args2 []int      // operand list B (kInner)
-	n     int        // vector length of vector-producing nodes
-	level int        // multiplicative level, assigned by Compile
+	kind    nodeKind
+	a, b, n int32
 }
 
 // Val is a handle to one recorded scalar node; it is passed around as a
@@ -112,6 +112,9 @@ func (v Vec) Len() int { return v.n }
 // ConstID names one public-constant parameter of a plan.
 type ConstID int
 
+// IndexID names one element-index parameter of a plan (see AtIndex).
+type IndexID int
+
 // Builder records the gate stream of one protocol run into a DAG. It
 // implements bgw.Evaluator, so protocol code written against the
 // engines records unchanged; operations that would reveal values (Open,
@@ -120,10 +123,17 @@ type ConstID int
 type Builder struct {
 	p, t  int
 	nodes []node
+	args  []int32      // operand lists of kInner and kFromScalars
+	lits  []field.Elem // literal inputs and constants, already in the field
 	rec   obs.Recorder // optional; surfaced through Recorder()
 
-	nConsts, nInputs, nInputVecs, nExt, nExtVecs int
-	opens, openVecs                              []int // node ids in record order
+	nConsts   int
+	inVecLens []int32 // length of each input-vec param
+	extLens   []int32 // length of each external vector
+	idxLimits []int32 // per index param: the shortest vector it indexes
+	nInputs   int
+	nOpens    int
+	nOpenVecs int
 }
 
 // NewBuilder starts recording a circuit for a P-party deployment with
@@ -141,12 +151,24 @@ func (b *Builder) add(n node) int {
 	return id
 }
 
-func (b *Builder) val(x bgw.Val) int {
+func (b *Builder) scalar(n node) bgw.Val { return Val{b: b, id: b.add(n)} }
+
+func (b *Builder) vector(n node) bgw.Vec {
+	return Vec{b: b, id: b.add(n), n: int(n.n)}
+}
+
+// lit appends a literal and returns its index.
+func (b *Builder) lit(e field.Elem) int32 {
+	b.lits = append(b.lits, e)
+	return int32(len(b.lits) - 1)
+}
+
+func (b *Builder) val(x bgw.Val) int32 {
 	v, ok := x.(Val)
 	if !ok || v.b != b {
 		panic(invariant.Violation("circuit: value handle from a different builder"))
 	}
-	return v.id
+	return int32(v.id)
 }
 
 func (b *Builder) vec(x bgw.Vec) Vec {
@@ -178,36 +200,46 @@ func (b *Builder) ConstParam() ConstID {
 // party owner, bound via Bindings.Inputs in declaration order.
 func (b *Builder) InputParam(owner int) bgw.Val {
 	b.checkParty(owner)
-	p := b.nInputs
 	b.nInputs++
-	return Val{b: b, id: b.add(node{kind: kInputParam, owner: owner, param: p})}
+	return b.scalar(node{kind: kInputParam, a: int32(owner), b: int32(b.nInputs - 1)})
 }
 
 // InputVecParam declares a per-execution secret vector input of length
 // n owned by party owner, bound via Bindings.InputVecs.
 func (b *Builder) InputVecParam(owner, n int) bgw.Vec {
 	b.checkParty(owner)
-	p := b.nInputVecs
-	b.nInputVecs++
-	return Vec{b: b, id: b.add(node{kind: kInputVecParam, owner: owner, param: p, n: n}), n: n}
+	b.inVecLens = append(b.inVecLens, int32(n))
+	return b.vector(node{kind: kInputVecParam, a: int32(owner), b: int32(len(b.inVecLens) - 1), n: int32(n)})
 }
 
-// ExtVal declares a scalar that already lives inside the executing
-// engine (e.g. a share produced by an earlier plan), bound via
-// Bindings.Ext. External values join the DAG at level 0 without
-// costing the input round.
-func (b *Builder) ExtVal() bgw.Val {
-	p := b.nExt
-	b.nExt++
-	return Val{b: b, id: b.add(node{kind: kExtVal, param: p})}
-}
-
-// ExtVec declares an engine-resident vector of length n, bound via
-// Bindings.ExtVecs.
+// ExtVec declares a vector of length n that already lives inside the
+// executing engine (a handle from Result.VecOf of an earlier plan),
+// bound via Bindings.ExtVecs. External vectors join the DAG at level 0
+// without costing the input round; AtIndex reads rows out of them.
 func (b *Builder) ExtVec(n int) bgw.Vec {
-	p := b.nExtVecs
-	b.nExtVecs++
-	return Vec{b: b, id: b.add(node{kind: kExtVec, param: p, n: n}), n: n}
+	b.extLens = append(b.extLens, int32(n))
+	return b.vector(node{kind: kExtVec, b: int32(len(b.extLens) - 1), n: int32(n)})
+}
+
+// IndexParam declares an element-index parameter, bound per execution
+// via Bindings.Indices. Use with AtIndex to read the rows of a batch
+// whose membership changes between runs of the same circuit shape.
+func (b *Builder) IndexParam() IndexID {
+	b.idxLimits = append(b.idxLimits, -1)
+	return IndexID(len(b.idxLimits) - 1)
+}
+
+// AtIndex records the element extraction v[i] for the index parameter
+// i; local, like At.
+func (b *Builder) AtIndex(v bgw.Vec, i IndexID) bgw.Val {
+	cv := b.vec(v)
+	if int(i) < 0 || int(i) >= len(b.idxLimits) {
+		panic(invariant.Violation("circuit: undeclared index param %d", i))
+	}
+	if l := &b.idxLimits[i]; *l < 0 || int32(cv.n) < *l {
+		*l = int32(cv.n)
+	}
+	return b.scalar(node{kind: kAtIndex, a: int32(cv.id), b: int32(i), n: int32(cv.n)})
 }
 
 // AddConstP returns a sharing of a + c for the constant parameter c.
@@ -215,7 +247,7 @@ func (b *Builder) AddConstP(a bgw.Val, c ConstID) bgw.Val {
 	if int(c) >= b.nConsts {
 		panic(invariant.Violation("circuit: undeclared const param %d", c))
 	}
-	return Val{b: b, id: b.add(node{kind: kAddConstP, a: b.val(a), param: int(c)})}
+	return b.scalar(node{kind: kAddConstP, a: b.val(a), b: int32(c)})
 }
 
 // MulConstP returns a sharing of c·a for the constant parameter c.
@@ -223,23 +255,25 @@ func (b *Builder) MulConstP(a bgw.Val, c ConstID) bgw.Val {
 	if int(c) >= b.nConsts {
 		panic(invariant.Violation("circuit: undeclared const param %d", c))
 	}
-	return Val{b: b, id: b.add(node{kind: kMulConstP, a: b.val(a), param: int(c)})}
+	return b.scalar(node{kind: kMulConstP, a: b.val(a), b: int32(c)})
 }
 
 // OpenIdx records an output gate for v and returns its index into
 // Result.Opened. This is the recording counterpart of Open for callers
 // that need the value after execution.
 func (b *Builder) OpenIdx(v bgw.Val) int {
-	b.opens = append(b.opens, b.add(node{kind: kOpen, a: b.val(v)}))
-	return len(b.opens) - 1
+	b.add(node{kind: kOpen, a: b.val(v)})
+	b.nOpens++
+	return b.nOpens - 1
 }
 
 // OpenVecIdx records a vector output gate and returns its index into
 // Result.OpenedVec.
 func (b *Builder) OpenVecIdx(v bgw.Vec) int {
 	cv := b.vec(v)
-	b.openVecs = append(b.openVecs, b.add(node{kind: kOpenVec, a: cv.id, n: cv.n}))
-	return len(b.openVecs) - 1
+	b.add(node{kind: kOpenVec, a: int32(cv.id), n: int32(cv.n)})
+	b.nOpenVecs++
+	return b.nOpenVecs - 1
 }
 
 // ---- bgw.Evaluator surface (recording) ----
@@ -282,49 +316,51 @@ func (b *Builder) Close() error { return nil }
 
 // Input records a literal secret input.
 func (b *Builder) Input(owner int, v int64) bgw.Val {
-	b.checkParty(owner)
-	return Val{b: b, id: b.add(node{kind: kInput, owner: owner, c: v})}
+	return b.InputElem(owner, field.FromInt64(v))
 }
 
 // InputElem records a literal raw-field input.
 func (b *Builder) InputElem(owner int, e field.Elem) bgw.Val {
 	b.checkParty(owner)
-	return Val{b: b, id: b.add(node{kind: kInputElem, owner: owner, elem: e})}
+	return b.scalar(node{kind: kInput, a: int32(owner), b: b.lit(e)})
 }
 
 // InputVec records a literal secret vector input.
 func (b *Builder) InputVec(owner int, vs []int64) bgw.Vec {
 	b.checkParty(owner)
-	ints := append([]int64(nil), vs...)
-	return Vec{b: b, id: b.add(node{kind: kInputVec, owner: owner, ints: ints, n: len(vs)}), n: len(vs)}
+	first := int32(len(b.lits))
+	for _, v := range vs {
+		b.lit(field.FromInt64(v))
+	}
+	return b.vector(node{kind: kInputVec, a: int32(owner), b: first, n: int32(len(vs))})
 }
 
 // Zero records a trivial sharing of 0.
-func (b *Builder) Zero() bgw.Val { return Val{b: b, id: b.add(node{kind: kZero})} }
+func (b *Builder) Zero() bgw.Val { return b.scalar(node{kind: kZero}) }
 
 // Add records a + b.
 func (b *Builder) Add(a, c bgw.Val) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kAdd, a: b.val(a), b: b.val(c)})}
+	return b.scalar(node{kind: kAdd, a: b.val(a), b: b.val(c)})
 }
 
 // Sub records a − b.
 func (b *Builder) Sub(a, c bgw.Val) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kSub, a: b.val(a), b: b.val(c)})}
+	return b.scalar(node{kind: kSub, a: b.val(a), b: b.val(c)})
 }
 
 // AddConst records a + c.
 func (b *Builder) AddConst(a bgw.Val, c int64) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kAddConst, a: b.val(a), c: c})}
+	return b.scalar(node{kind: kAddConst, a: b.val(a), b: b.lit(field.FromInt64(c))})
 }
 
 // MulConst records c·a.
 func (b *Builder) MulConst(a bgw.Val, c int64) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kMulConst, a: b.val(a), c: c})}
+	return b.scalar(node{kind: kMulConst, a: b.val(a), b: b.lit(field.FromInt64(c))})
 }
 
 // Mul records the multiplicative gate a·b.
 func (b *Builder) Mul(a, c bgw.Val) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kMul, a: b.val(a), b: b.val(c)})}
+	return b.scalar(node{kind: kMul, a: b.val(a), b: b.val(c)})
 }
 
 // InnerProduct records the fused gate Σ_k as[k]·bs[k].
@@ -332,13 +368,14 @@ func (b *Builder) InnerProduct(as, bs []bgw.Val) bgw.Val {
 	if len(as) != len(bs) {
 		panic(invariant.Violation("circuit: InnerProduct length mismatch"))
 	}
-	args := make([]int, len(as))
-	args2 := make([]int, len(bs))
-	for i := range as {
-		args[i] = b.val(as[i])
-		args2[i] = b.val(bs[i])
+	off := int32(len(b.args))
+	for _, x := range as {
+		b.args = append(b.args, b.val(x))
 	}
-	return Val{b: b, id: b.add(node{kind: kInner, args: args, args2: args2})}
+	for _, x := range bs {
+		b.args = append(b.args, b.val(x))
+	}
+	return b.scalar(node{kind: kInner, b: off, n: int32(len(as))})
 }
 
 // AdditiveShares cannot be recorded — the conversion reveals engine
@@ -362,7 +399,7 @@ func (b *Builder) At(v bgw.Vec, k int) bgw.Val {
 	if k < 0 || k >= cv.n {
 		panic(invariant.Violation("circuit: vector index out of range"))
 	}
-	return Val{b: b, id: b.add(node{kind: kAt, a: cv.id, k: k})}
+	return b.scalar(node{kind: kAt, a: int32(cv.id), b: int32(k), n: int32(cv.n)})
 }
 
 // AddVec records the element-wise sum a + b.
@@ -371,7 +408,7 @@ func (b *Builder) AddVec(a, c bgw.Vec) bgw.Vec {
 	if ca.n != cc.n {
 		panic(invariant.Violation("circuit: vector length mismatch"))
 	}
-	return Vec{b: b, id: b.add(node{kind: kAddVec, a: ca.id, b: cc.id, n: ca.n}), n: ca.n}
+	return b.vector(node{kind: kAddVec, a: int32(ca.id), b: int32(cc.id), n: int32(ca.n)})
 }
 
 // Dot records the fused inner product ⟨a, b⟩.
@@ -380,7 +417,7 @@ func (b *Builder) Dot(a, c bgw.Vec) bgw.Val {
 	if ca.n != cc.n {
 		panic(invariant.Violation("circuit: vector length mismatch"))
 	}
-	return Val{b: b, id: b.add(node{kind: kDot, a: ca.id, b: cc.id})}
+	return b.scalar(node{kind: kDot, a: int32(ca.id), b: int32(cc.id), n: int32(ca.n)})
 }
 
 // DotBatch records one Dot gate per pair; the scheduler re-batches all
@@ -429,11 +466,11 @@ func (b *Builder) OpenVec(v bgw.Vec) []int64 {
 
 // FromScalars records the packing of scalars into a vector.
 func (b *Builder) FromScalars(xs []bgw.Val) bgw.Vec {
-	args := make([]int, len(xs))
-	for i := range xs {
-		args[i] = b.val(xs[i])
+	off := int32(len(b.args))
+	for _, x := range xs {
+		b.args = append(b.args, b.val(x))
 	}
-	return Vec{b: b, id: b.add(node{kind: kFromScalars, args: args, n: len(xs)}), n: len(xs)}
+	return b.vector(node{kind: kFromScalars, b: off, n: int32(len(xs))})
 }
 
 var _ bgw.Evaluator = (*Builder)(nil)

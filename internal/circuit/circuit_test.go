@@ -176,54 +176,44 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 		t.Fatalf("depth %d mulgates %d, want 1 and %d", plan.Depth(), plan.MulGates(), n)
 	}
 
-	run := func(eager bool) (rounds, frames int64, opened []int64) {
-		eng, err := bgw.NewActorEngine(bgw.Config{Parties: p, Seed: 99}, transport.NewChanMesh(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		res, err := plan.ExecuteOpts(eng, Bindings{}, ExecOptions{Eager: eager})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opened = make([]int64, n)
-		for i := range opened {
-			opened[i] = res.Opened(i)
-		}
-		st := eng.Stats()
-		return st.Rounds, st.Frames, opened
+	eng, err := bgw.NewActorEngine(bgw.Config{Parties: p, Seed: 99}, transport.NewChanMesh(p))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	pRounds, pFrames, pVals := run(false)
-	eRounds, eFrames, eVals := run(true)
-
-	if pRounds != int64(plan.Rounds()) {
-		t.Errorf("planned rounds = %d, want %d", pRounds, plan.Rounds())
+	defer eng.Close()
+	res, err := plan.Execute(eng, Bindings{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if eRounds != int64(plan.EagerRounds()) {
-		t.Errorf("eager rounds = %d, want %d", eRounds, plan.EagerRounds())
+	st := eng.Stats()
+	if st.Rounds != int64(plan.Rounds()) {
+		t.Errorf("planned rounds = %d, want %d", st.Rounds, plan.Rounds())
 	}
 	// Planned frames: n input frames of (p−1) each… inputs are per-owner
 	// sends, then one reshare exchange, then one batched opening.
 	wantPlanned := int64(n*(p-1) + p*(p-1) + p*(p-1))
-	if pFrames != wantPlanned {
-		t.Errorf("planned frames = %d, want %d", pFrames, wantPlanned)
+	if st.Frames != wantPlanned {
+		t.Errorf("planned frames = %d, want %d", st.Frames, wantPlanned)
+	}
+	// Eager execution (one round per gate) is reported analytically.
+	if got, want := plan.EagerRounds(), n+2; got != want {
+		t.Errorf("eager rounds = %d, want %d", got, want)
 	}
 	// Eager frames: one reshare exchange per gate, one opening exchange
 	// per output.
-	wantEager := int64(n*(p-1) + n*p*(p-1) + n*p*(p-1))
-	if eFrames != wantEager {
-		t.Errorf("eager frames = %d, want %d", eFrames, wantEager)
+	wantEager := n*(p-1) + n*p*(p-1) + n*p*(p-1)
+	if got := plan.EagerFrames(); got != wantEager {
+		t.Errorf("eager frames = %d, want %d", got, wantEager)
 	}
-	for i := range pVals {
-		if pVals[i] != eVals[i] {
-			t.Fatalf("output %d: planned %d != eager %d", i, pVals[i], eVals[i])
+	for i := 0; i < n; i++ {
+		if want := int64((i + 1) * ((i+1)%n + 1)); res.Opened(i) != want {
+			t.Fatalf("output %d = %d, want %d", i, res.Opened(i), want)
 		}
 	}
 }
 
 // TestExtValBridgesPlans: shares produced by a setup plan feed a second
-// plan through ExtVal bindings.
+// plan through ExtVec bindings.
 func TestExtValBridgesPlans(t *testing.T) {
 	eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 7})
 	if err != nil {
@@ -251,4 +241,89 @@ func TestExtValBridgesPlans(t *testing.T) {
 	if got, want := res.Opened(0), int64(16+4+81); got != want {
 		t.Fatalf("dot = %d, want %d", got, want)
 	}
+}
+
+// TestAtIndexReadsBoundRows: index parameters select the rows of
+// external vectors per execution, on both engines, and the same shape
+// over an input vector runs plain.
+func TestAtIndexReadsBoundRows(t *testing.T) {
+	col := []int64{4, -2, 9, 7, -5}
+	b := NewBuilder(4, 0)
+	ext := b.ExtVec(len(col))
+	i, j := b.IndexParam(), b.IndexParam()
+	b.OpenIdx(b.Mul(b.AtIndex(ext, i), b.AtIndex(ext, j)))
+	plan := b.MustCompile()
+
+	mono, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	actor, err := bgw.NewActorEngine(bgw.Config{Parties: 4, Seed: 5}, transport.NewChanMesh(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer actor.Close()
+	for _, eng := range []bgw.Evaluator{bgw.Eval(mono), actor} {
+		setup := NewBuilder(4, 0)
+		h := setup.InputVec(2, col)
+		sres, err := setup.MustCompile().Execute(eng, Bindings{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := sres.VecOf(h)
+		for _, rows := range [][]int{{0, 2}, {4, 3}, {1, 1}} {
+			res, err := plan.Execute(eng, Bindings{ExtVecs: []bgw.Vec{v}, Indices: rows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Opened(0), col[rows[0]]*col[rows[1]]; got != want {
+				t.Fatalf("%T rows %v: got %d, want %d", eng, rows, got, want)
+			}
+		}
+		if _, err := plan.Execute(eng, Bindings{ExtVecs: []bgw.Vec{v}, Indices: []int{0, 5}}); err == nil {
+			t.Fatalf("%T: out-of-range index accepted", eng)
+		}
+	}
+
+	pb := NewBuilder(4, 0)
+	in := pb.InputVec(1, col)
+	k := pb.IndexParam()
+	pb.OpenIdx(pb.AtIndex(in, k))
+	pr, err := pb.MustCompile().Plain(Bindings{Indices: []int{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.Opened(0) != col[3] {
+		t.Fatalf("plain AtIndex = %d, want %d", pr.Opened(0), col[3])
+	}
+}
+
+// TestValOfAfterRecyclePanics pins the handle lifetime rule: a result's
+// shares can be kept only until the engine runs its next plan.
+func TestValOfAfterRecyclePanics(t *testing.T) {
+	eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := bgw.Eval(eng)
+	b := NewBuilder(4, 0)
+	x := b.Input(0, 6)
+	plan := b.MustCompile()
+	first, err := plan.Execute(ev, Bindings{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := first.ValOf(x)
+	if _, err := plan.Execute(ev, Bindings{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ev.Open(kept); got != 6 {
+		t.Fatalf("kept handle opens %d, want 6", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ValOf on a recycled arena did not panic")
+		}
+	}()
+	first.ValOf(x)
 }

@@ -83,9 +83,9 @@ func randomCircuit(b *Builder, rng *rand.Rand) {
 
 // checkEquivalence compiles the seed's random circuit and demands
 // bit-identical opened outputs from every execution strategy: the
-// plain interpreter (the oracle), the planned executor on the
-// monolithic and actor engines, and eager gate-by-gate execution.
-// Measured rounds must equal the plan's predictions.
+// plain interpreter (the oracle) and the planned executor on the
+// monolithic and actor engines. Measured rounds must equal the plan's
+// predictions.
 func checkEquivalence(t *testing.T, seed int64) {
 	t.Helper()
 	b := NewBuilder(4, 0)
@@ -170,19 +170,10 @@ func checkEquivalence(t *testing.T, seed int64) {
 		}
 	}
 
-	eager, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x2c85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eres, err := plan.ExecuteOpts(bgw.Eval(eager), Bindings{}, ExecOptions{Eager: true})
-	if err != nil {
-		t.Fatalf("seed %d: eager: %v", seed, err)
-	}
-	check("mono-eager", eres, eager.Stats().Rounds, plan.EagerRounds())
 }
 
 // TestPlanEquivalenceRandomCircuits is the differential test: many
-// random DAGs, four execution strategies, all bit-identical.
+// random DAGs, three execution strategies, all bit-identical.
 func TestPlanEquivalenceRandomCircuits(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		checkEquivalence(t, seed)
@@ -190,7 +181,8 @@ func TestPlanEquivalenceRandomCircuits(t *testing.T) {
 }
 
 // FuzzPlanEquivalence lets the fuzzer hunt for circuit shapes where
-// the scheduler, the batched executor, and the eager path disagree.
+// the scheduler, the batched executor on either engine, and the plain
+// interpreter disagree.
 func FuzzPlanEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)

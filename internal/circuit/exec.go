@@ -10,23 +10,14 @@ import (
 
 // Bindings supplies a plan's parameters for one execution, each slice
 // indexed by declaration order: Consts for ConstParam, Inputs for
-// InputParam, InputVecs for InputVecParam, Ext/ExtVecs for engine
-// handles declared with ExtVal/ExtVec (they must come from the engine
-// the plan executes on).
-type Bindings struct {
-	Consts    []int64
-	Inputs    []int64
-	InputVecs [][]int64
-	Ext       []bgw.Val
-	ExtVecs   []bgw.Vec
-}
+// InputParam, InputVecs for InputVecParam, ExtVecs for engine vectors
+// declared with ExtVec (they must come from the engine the plan
+// executes on), Indices for IndexParam. The engines take them as they
+// are.
+type Bindings = bgw.Binding
 
 // ExecOptions tunes one execution.
 type ExecOptions struct {
-	// Eager disables level batching: every multiplicative gate runs as
-	// its own dispatch and its own communication round, reproducing the
-	// pre-scheduler behaviour for comparison benchmarks.
-	Eager bool
 	// Workers bounds the worker pool engines use to parallelize each
 	// level's independent gates (applied via bgw.WorkerTunable when the
 	// engine supports it; ignored otherwise). 0 keeps the engine's own
@@ -38,13 +29,12 @@ type ExecOptions struct {
 	Workers int
 }
 
-// Result holds one execution's outputs: the opened values in gate
-// record order plus every node's engine handle (for plans that produce
-// persistent shares consumed by later plans).
+// Result holds one execution's opened values in gate record order and
+// a view of the engine arena the execution ran in.
 type Result struct {
 	plan       *Plan
-	vals       []bgw.Val
-	vecs       []bgw.Vec
+	run        bgw.Runner // nil for Plain
+	epoch      uint64     // run.Epoch() of this execution
 	opened     []int64
 	openedVecs [][]int64
 }
@@ -55,26 +45,45 @@ func (r *Result) Opened(k int) int64 { return r.opened[k] }
 // OpenedVec returns the k-th vector output.
 func (r *Result) OpenedVec(k int) []int64 { return r.openedVecs[k] }
 
-// ValOf returns the engine handle the execution produced for a
-// recorded scalar, for use as an ExtVal binding of a later plan.
+// ValOf returns an engine handle holding the shares the execution
+// produced for a recorded scalar, for use with the engine's gate
+// surface (e.g. AdditiveShares).
+//
+// Lifetime: the shares live in the engine's arena, which the next
+// execution on the same engine recycles, so ValOf and VecOf must be
+// called before the engine runs another plan (they panic afterwards).
+// The handles they return are copies owned by the engine and stay
+// valid for the engine's lifetime.
 func (r *Result) ValOf(h bgw.Val) bgw.Val {
 	v, ok := h.(Val)
 	if !ok {
 		panic(invariant.Violation("circuit: ValOf needs a circuit handle"))
 	}
-	return r.vals[v.id]
+	r.checkLive()
+	return r.run.Keep(r.plan.slots[v.id])
 }
 
-// VecOf returns the engine handle for a recorded vector.
+// VecOf returns an engine handle for a recorded vector, for use as an
+// ExtVec binding of a later plan; see ValOf for its lifetime.
 func (r *Result) VecOf(h bgw.Vec) bgw.Vec {
 	v, ok := h.(Vec)
 	if !ok {
 		panic(invariant.Violation("circuit: VecOf needs a circuit handle"))
 	}
-	return r.vecs[v.id]
+	r.checkLive()
+	return r.run.KeepVec(r.plan.slots[v.id], v.n)
 }
 
-// validate checks the bindings against the plan's parameter counts.
+func (r *Result) checkLive() {
+	if r.run == nil {
+		panic(invariant.Violation("circuit: a plain result has no engine shares"))
+	}
+	if r.run.Epoch() != r.epoch {
+		panic(invariant.Violation("circuit: engine arena recycled by a later execution"))
+	}
+}
+
+// validate checks the bindings against the plan's parameters.
 func (p *Plan) validate(bind Bindings) error {
 	if len(bind.Consts) != p.nConsts {
 		return fmt.Errorf("circuit: plan wants %d const params, got %d", p.nConsts, len(bind.Consts))
@@ -82,14 +91,32 @@ func (p *Plan) validate(bind Bindings) error {
 	if len(bind.Inputs) != p.nInputs {
 		return fmt.Errorf("circuit: plan wants %d input params, got %d", p.nInputs, len(bind.Inputs))
 	}
-	if len(bind.InputVecs) != p.nInputVecs {
-		return fmt.Errorf("circuit: plan wants %d input-vec params, got %d", p.nInputVecs, len(bind.InputVecs))
+	if len(bind.InputVecs) != len(p.inVecLens) {
+		return fmt.Errorf("circuit: plan wants %d input-vec params, got %d", len(p.inVecLens), len(bind.InputVecs))
 	}
-	if len(bind.Ext) != p.nExt {
-		return fmt.Errorf("circuit: plan wants %d external values, got %d", p.nExt, len(bind.Ext))
+	if len(bind.ExtVecs) != len(p.extLens) {
+		return fmt.Errorf("circuit: plan wants %d external vectors, got %d", len(p.extLens), len(bind.ExtVecs))
 	}
-	if len(bind.ExtVecs) != p.nExtVecs {
-		return fmt.Errorf("circuit: plan wants %d external vectors, got %d", p.nExtVecs, len(bind.ExtVecs))
+	if len(bind.Indices) != len(p.idxLimits) {
+		return fmt.Errorf("circuit: plan wants %d index params, got %d", len(p.idxLimits), len(bind.Indices))
+	}
+	for k, vs := range bind.InputVecs {
+		if len(vs) != int(p.inVecLens[k]) {
+			return fmt.Errorf("circuit: input-vec param %d has %d elements, plan wants %d", k, len(vs), p.inVecLens[k])
+		}
+	}
+	for k, v := range bind.ExtVecs {
+		if v == nil {
+			return fmt.Errorf("circuit: external vector %d unbound", k)
+		}
+		if v.Len() != int(p.extLens[k]) {
+			return fmt.Errorf("circuit: external vector %d has %d elements, plan wants %d", k, v.Len(), p.extLens[k])
+		}
+	}
+	for k, i := range bind.Indices {
+		if i < 0 || (p.idxLimits[k] >= 0 && i >= int(p.idxLimits[k])) {
+			return fmt.Errorf("circuit: index param %d = %d out of range [0,%d)", k, i, p.idxLimits[k])
+		}
 	}
 	return nil
 }
@@ -102,16 +129,25 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	return p.ExecuteOpts(eng, bind, ExecOptions{})
 }
 
-// ExecuteOpts runs the plan with explicit options. When the engine's
-// recorder admits debug events, the execution is traced: one
-// "circuit.exec" span for the whole run with one "circuit.level" child
-// per batched multiplication round and a "circuit.open" child for the
-// output round, each carrying gate counts and the engine's frame/round
-// deltas. Disabled telemetry skips all of it (the spans are inert and
-// Stats is never read).
+// ExecuteOpts runs the plan with explicit options. The engine must
+// implement bgw.Runner (both BGW engines do): the executor calls it
+// once for the input round, once per level for the linear closure,
+// once per multiplicative level and once for the opening round, so
+// driving a plan costs O(depth) calls whatever its node count.
+//
+// When the engine's recorder admits debug events, the execution is
+// traced: one "circuit.exec" span for the whole run with one
+// "circuit.level" child per batched multiplication round and a
+// "circuit.open" child for the output round, each carrying gate counts
+// and the engine's frame/round deltas. Disabled telemetry skips all of
+// it (the spans are inert and Stats is never read).
 func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
+	}
+	run, ok := eng.(bgw.Runner)
+	if !ok {
+		return nil, fmt.Errorf("circuit: engine %T cannot execute plans", eng)
 	}
 	if opts.Workers != 0 {
 		if wt, ok := eng.(bgw.WorkerTunable); ok {
@@ -120,25 +156,20 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 	}
 	rec := eng.Recorder()
 	exec := obs.StartTracedSpan(rec, "circuit.exec", 0,
-		obs.Int("depth", p.depth), obs.Int("nodes", len(p.nodes)), obs.Bool("eager", opts.Eager))
+		obs.Int("depth", p.depth), obs.Int("nodes", len(p.nodes)))
 	var prev bgw.Stats
 	if exec.Active() {
 		prev = eng.Stats()
 	}
-	r := &Result{
-		plan: p,
-		vals: make([]bgw.Val, len(p.nodes)),
-		vecs: make([]bgw.Vec, len(p.nodes)),
-	}
-	// Level 0: inputs, external bindings and their linear closure.
-	for _, id := range p.locals[0] {
-		if err := p.evalLocal(eng, bind, r, id); err != nil {
-			return nil, err
-		}
-	}
-	if p.hasInputs {
+	run.Begin(&p.prog, bind)
+	r := &Result{plan: p, run: run, epoch: run.Epoch()}
+	// Level 0: inputs, then the linear closure of the inputs and the
+	// external bindings.
+	if p.inputs > 0 {
+		run.ShareInputs()
 		eng.AdvanceRound()
 	}
+	run.RunLocal(0)
 	// levelDelta closes one child span with the engine's traffic deltas
 	// since the previous close.
 	levelDelta := func(sp obs.TracedSpan) {
@@ -153,136 +184,21 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 		prev = s
 	}
 	for lvl := 1; lvl <= p.depth; lvl++ {
-		gates := p.muls[lvl-1]
+		mul := p.prog.Levels[lvl].Mul
 		sp := obs.StartTracedSpan(rec, "circuit.level", exec.ID(),
-			obs.Int("level", lvl), obs.Int("gates", len(gates)))
-		if opts.Eager {
-			for _, id := range gates {
-				n := &p.nodes[id]
-				switch n.kind {
-				case kMul:
-					r.vals[id] = eng.Mul(r.vals[n.a], r.vals[n.b])
-				case kInner:
-					as, bs := gather(r.vals, n.args), gather(r.vals, n.args2)
-					r.vals[id] = eng.InnerProduct(as, bs)
-				case kDot:
-					r.vals[id] = eng.Dot(r.vecs[n.a], r.vecs[n.b])
-				}
-				eng.AdvanceRound()
-			}
-		} else {
-			items := make([]bgw.MulItem, len(gates))
-			for i, id := range gates {
-				n := &p.nodes[id]
-				switch n.kind {
-				case kMul:
-					items[i] = bgw.MulItem{Kind: bgw.MulScalar, A: r.vals[n.a], B: r.vals[n.b]}
-				case kInner:
-					items[i] = bgw.MulItem{Kind: bgw.MulInner, As: gather(r.vals, n.args), Bs: gather(r.vals, n.args2)}
-				case kDot:
-					items[i] = bgw.MulItem{Kind: bgw.MulDot, VA: r.vecs[n.a], VB: r.vecs[n.b]}
-				}
-			}
-			for i, out := range eng.MulBatch(items) {
-				r.vals[gates[i]] = out
-			}
-			eng.AdvanceRound()
-		}
+			obs.Int("level", lvl), obs.Int("gates", int(mul.Hi-mul.Lo)))
+		run.RunMul(lvl)
+		eng.AdvanceRound()
 		levelDelta(sp)
-		for _, id := range p.locals[lvl] {
-			if err := p.evalLocal(eng, bind, r, id); err != nil {
-				return nil, err
-			}
-		}
+		run.RunLocal(lvl)
 	}
 	if p.hasOpens() {
 		sp := obs.StartTracedSpan(rec, "circuit.open", exec.ID(),
-			obs.Int("opens", len(p.opens)), obs.Int("open_vecs", len(p.openVecs)))
-		if opts.Eager {
-			r.opened = make([]int64, len(p.opens))
-			for i, id := range p.opens {
-				r.opened[i] = eng.Open(r.vals[p.nodes[id].a])
-			}
-		} else if len(p.opens) > 0 {
-			vals := make([]bgw.Val, len(p.opens))
-			for i, id := range p.opens {
-				vals[i] = r.vals[p.nodes[id].a]
-			}
-			r.opened = eng.OpenBatch(vals)
-		}
-		r.openedVecs = make([][]int64, len(p.openVecs))
-		for i, id := range p.openVecs {
-			r.openedVecs[i] = eng.OpenVec(r.vecs[p.nodes[id].a])
-		}
+			obs.Int("opens", p.opens), obs.Int("open_vecs", p.openVecs))
+		r.opened, r.openedVecs = run.RunOpen()
 		eng.AdvanceRound()
 		levelDelta(sp)
 	}
 	exec.End()
 	return r, nil
-}
-
-// evalLocal materializes one leaf or linear node on the engine.
-func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int) error {
-	n := &p.nodes[id]
-	switch n.kind {
-	case kZero:
-		r.vals[id] = eng.Zero()
-	case kInput:
-		r.vals[id] = eng.Input(n.owner, n.c)
-	case kInputElem:
-		r.vals[id] = eng.InputElem(n.owner, n.elem)
-	case kInputVec:
-		r.vecs[id] = eng.InputVec(n.owner, n.ints)
-	case kInputParam:
-		r.vals[id] = eng.Input(n.owner, bind.Inputs[n.param])
-	case kInputVecParam:
-		vs := bind.InputVecs[n.param]
-		if len(vs) != n.n {
-			return fmt.Errorf("circuit: input-vec param %d has %d elements, plan wants %d", n.param, len(vs), n.n)
-		}
-		r.vecs[id] = eng.InputVec(n.owner, vs)
-	case kExtVal:
-		if bind.Ext[n.param] == nil {
-			return fmt.Errorf("circuit: external value %d unbound", n.param)
-		}
-		r.vals[id] = bind.Ext[n.param]
-	case kExtVec:
-		v := bind.ExtVecs[n.param]
-		if v == nil {
-			return fmt.Errorf("circuit: external vector %d unbound", n.param)
-		}
-		if v.Len() != n.n {
-			return fmt.Errorf("circuit: external vector %d has %d elements, plan wants %d", n.param, v.Len(), n.n)
-		}
-		r.vecs[id] = v
-	case kAdd:
-		r.vals[id] = eng.Add(r.vals[n.a], r.vals[n.b])
-	case kSub:
-		r.vals[id] = eng.Sub(r.vals[n.a], r.vals[n.b])
-	case kAddConst:
-		r.vals[id] = eng.AddConst(r.vals[n.a], n.c)
-	case kMulConst:
-		r.vals[id] = eng.MulConst(r.vals[n.a], n.c)
-	case kAddConstP:
-		r.vals[id] = eng.AddConst(r.vals[n.a], bind.Consts[n.param])
-	case kMulConstP:
-		r.vals[id] = eng.MulConst(r.vals[n.a], bind.Consts[n.param])
-	case kAt:
-		r.vals[id] = eng.At(r.vecs[n.a], n.k)
-	case kAddVec:
-		r.vecs[id] = eng.AddVec(r.vecs[n.a], r.vecs[n.b])
-	case kFromScalars:
-		r.vecs[id] = eng.FromScalars(gather(r.vals, n.args))
-	default:
-		return fmt.Errorf("circuit: node %d kind %d is not local", id, n.kind)
-	}
-	return nil
-}
-
-func gather(vals []bgw.Val, ids []int) []bgw.Val {
-	out := make([]bgw.Val, len(ids))
-	for i, id := range ids {
-		out[i] = vals[id]
-	}
-	return out
 }

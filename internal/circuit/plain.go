@@ -7,14 +7,16 @@ import (
 )
 
 // Plain evaluates the plan directly over field elements — no sharing,
-// no communication. Because BGW computes exactly, the opened values are
-// bit-identical to every MPC execution of the same plan; this is the
+// no communication — walking the recorded IR in record order, apart
+// from the level schedule and the slot assignment the engines run.
+// Because BGW computes exactly, the opened values are bit-identical to
+// every MPC execution of the same plan; this is the
 // differential-testing oracle and the fast path for utility
-// experiments. Plans with external bindings (ExtVal/ExtVec) cannot run
-// plain: those handles are engine share state.
+// experiments. Plans with external vectors (ExtVec) cannot run plain:
+// those handles are engine share state.
 func (p *Plan) Plain(bind Bindings) (*Result, error) {
-	if p.nExt > 0 || p.nExtVecs > 0 {
-		return nil, fmt.Errorf("circuit: plan has %d external bindings; Plain needs a self-contained circuit", p.nExt+p.nExtVecs)
+	if len(p.extLens) > 0 {
+		return nil, fmt.Errorf("circuit: plan has %d external bindings; Plain needs a self-contained circuit", len(p.extLens))
 	}
 	if err := p.validate(bind); err != nil {
 		return nil, err
@@ -22,28 +24,18 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 	vals := make([]field.Elem, len(p.nodes))
 	vecs := make([][]field.Elem, len(p.nodes))
 	r := &Result{plan: p}
-	for id := range p.nodes {
-		n := &p.nodes[id]
+	for id, n := range p.nodes {
 		switch n.kind {
 		case kZero:
 			vals[id] = 0
 		case kInput:
-			vals[id] = field.FromInt64(n.c)
-		case kInputElem:
-			vals[id] = n.elem
+			vals[id] = p.lits[n.b]
 		case kInputVec:
-			v := make([]field.Elem, len(n.ints))
-			for k, x := range n.ints {
-				v[k] = field.FromInt64(x)
-			}
-			vecs[id] = v
+			vecs[id] = append([]field.Elem(nil), p.lits[n.b:n.b+n.n]...)
 		case kInputParam:
-			vals[id] = field.FromInt64(bind.Inputs[n.param])
+			vals[id] = field.FromInt64(bind.Inputs[n.b])
 		case kInputVecParam:
-			vs := bind.InputVecs[n.param]
-			if len(vs) != n.n {
-				return nil, fmt.Errorf("circuit: input-vec param %d has %d elements, plan wants %d", n.param, len(vs), n.n)
-			}
+			vs := bind.InputVecs[n.b]
 			v := make([]field.Elem, len(vs))
 			for k, x := range vs {
 				v[k] = field.FromInt64(x)
@@ -54,19 +46,20 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 		case kSub:
 			vals[id] = field.Sub(vals[n.a], vals[n.b])
 		case kAddConst:
-			vals[id] = field.Add(vals[n.a], field.FromInt64(n.c))
+			vals[id] = field.Add(vals[n.a], p.lits[n.b])
 		case kMulConst:
-			vals[id] = field.Mul(vals[n.a], field.FromInt64(n.c))
+			vals[id] = field.Mul(vals[n.a], p.lits[n.b])
 		case kAddConstP:
-			vals[id] = field.Add(vals[n.a], field.FromInt64(bind.Consts[n.param]))
+			vals[id] = field.Add(vals[n.a], field.FromInt64(bind.Consts[n.b]))
 		case kMulConstP:
-			vals[id] = field.Mul(vals[n.a], field.FromInt64(bind.Consts[n.param]))
+			vals[id] = field.Mul(vals[n.a], field.FromInt64(bind.Consts[n.b]))
 		case kMul:
 			vals[id] = field.Mul(vals[n.a], vals[n.b])
 		case kInner:
+			as, bs := p.args[n.b:n.b+n.n], p.args[n.b+n.n:n.b+2*n.n]
 			var acc field.Elem
-			for i := range n.args {
-				acc = field.Add(acc, field.Mul(vals[n.args[i]], vals[n.args2[i]]))
+			for i := range as {
+				acc = field.Add(acc, field.Mul(vals[as[i]], vals[bs[i]]))
 			}
 			vals[id] = acc
 		case kDot:
@@ -77,7 +70,9 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			}
 			vals[id] = acc
 		case kAt:
-			vals[id] = vecs[n.a][n.k]
+			vals[id] = vecs[n.a][n.b]
+		case kAtIndex:
+			vals[id] = vecs[n.a][bind.Indices[n.b]]
 		case kAddVec:
 			va, vb := vecs[n.a], vecs[n.b]
 			out := make([]field.Elem, len(va))
@@ -86,8 +81,8 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			}
 			vecs[id] = out
 		case kFromScalars:
-			out := make([]field.Elem, len(n.args))
-			for k, op := range n.args {
+			out := make([]field.Elem, n.n)
+			for k, op := range p.args[n.b : n.b+n.n] {
 				out[k] = vals[op]
 			}
 			vecs[id] = out

@@ -37,8 +37,7 @@ type LRProtocol struct {
 
 	// MPC engine state (nil for EnginePlain).
 	eng        bgw.Evaluator
-	featShares []bgw.Vec
-	labShares  bgw.Vec
+	cols       []bgw.Vec // shared feature columns, then the label column
 	setupStats bgw.Stats
 
 	// Compiled gradient plans keyed by batch size: the circuit shape
@@ -107,11 +106,10 @@ func NewLRProtocol(features *linalg.Matrix, labels []float64, p Params) (*LRProt
 			eng.Close()
 			return nil, err
 		}
-		lr.featShares = make([]bgw.Vec, lr.d)
-		for j := 0; j < lr.d; j++ {
-			lr.featShares[j] = sres.VecOf(featH[j])
+		lr.cols = make([]bgw.Vec, 0, lr.d+1)
+		for _, h := range append(featH, labH) {
+			lr.cols = append(lr.cols, sres.VecOf(h))
 		}
-		lr.labShares = sres.VecOf(labH)
 		lr.setupStats = eng.Stats()
 		if err := eng.Err(); err != nil {
 			eng.Close()
@@ -228,10 +226,11 @@ func (lr *LRProtocol) plainGradient(wq []int64, qHalf int64, batch []int, noise 
 
 // gradientPlan compiles (and caches) the gradient circuit for a batch
 // of B records: the public coefficients enter as const parameters, the
-// batch's feature and label shares as external bindings, the per-client
-// noise shares as input parameters. Depth 1 (one fused inner product
-// per coordinate), so the plan runs in exactly three wire rounds —
-// noise input, batched resharing, batched output — for any B.
+// batch's rows as index parameters into the shared columns (see
+// batchRows), the per-client noise shares as input parameters. Depth 1
+// (one fused inner product per coordinate), so the plan runs in exactly
+// three wire rounds — noise input, batched resharing, batched output —
+// for any B.
 func (lr *LRProtocol) gradientPlan(B int) *lrPlan {
 	if pl, ok := lr.plans[B]; ok {
 		return pl
@@ -244,17 +243,7 @@ func (lr *LRProtocol) gradientPlan(B int) *lrPlan {
 	}
 	qHalfP := b.ConstParam()
 
-	// External bindings, in batch order: d feature shares then the
-	// label share of each record.
-	feats := make([][]bgw.Val, B)
-	labs := make([]bgw.Val, B)
-	for bi := 0; bi < B; bi++ {
-		feats[bi] = make([]bgw.Val, lr.d)
-		for j := 0; j < lr.d; j++ {
-			feats[bi][j] = b.ExtVal()
-		}
-		labs[bi] = b.ExtVal()
-	}
+	feats, labs := batchRows(b, lr.d, lr.m, B)
 
 	// Per-client noise share parameters, coordinate-major.
 	noiseShared := make([]bgw.Val, lr.d)
@@ -290,6 +279,29 @@ func (lr *LRProtocol) gradientPlan(B int) *lrPlan {
 	return pl
 }
 
+// batchRows declares the data side of a gradient plan: the d feature
+// columns and the label column as external vectors of m shared rows
+// (bound to the protocol's cols), and one index parameter per batch
+// position (bound to the Poisson batch). It returns each position's
+// feature and label handles; reading them is local.
+func batchRows(b *circuit.Builder, d, m, B int) (feats [][]bgw.Val, labs []bgw.Val) {
+	cols := make([]bgw.Vec, d+1)
+	for j := range cols {
+		cols[j] = b.ExtVec(m)
+	}
+	feats = make([][]bgw.Val, B)
+	labs = make([]bgw.Val, B)
+	for bi := range feats {
+		row := b.IndexParam()
+		feats[bi] = make([]bgw.Val, d)
+		for j := range feats[bi] {
+			feats[bi][j] = b.AtIndex(cols[j], row)
+		}
+		labs[bi] = b.AtIndex(cols[d], row)
+	}
+	return feats, labs
+}
+
 // mpcGradient runs one SGD round over secret shares by executing the
 // compiled gradient plan: the public weights fold in locally, all fused
 // inner products reshare in a single batched round, and the round count
@@ -303,16 +315,6 @@ func (lr *LRProtocol) mpcGradient(wq []int64, qHalf int64, batch []int, noise []
 	consts = append(consts, wq...)
 	consts = append(consts, qHalf)
 
-	// Gather the batch's feature and label handles; element extraction
-	// is local, so this costs no wire traffic.
-	ext := make([]bgw.Val, 0, len(batch)*(lr.d+1))
-	for _, i := range batch {
-		for j := 0; j < lr.d; j++ {
-			ext = append(ext, eng.At(lr.featShares[j], i))
-		}
-		ext = append(ext, eng.At(lr.labShares, i))
-	}
-
 	noiseStart := time.Now()
 	inputs := make([]int64, 0, lr.d*len(noise))
 	for t := 0; t < lr.d; t++ {
@@ -323,7 +325,7 @@ func (lr *LRProtocol) mpcGradient(wq []int64, qHalf int64, batch []int, noise []
 	tr.NoiseCompute += time.Since(noiseStart)
 	tr.NoiseRounds++
 
-	res, err := pl.plan.Execute(eng, circuit.Bindings{Consts: consts, Inputs: inputs, Ext: ext})
+	res, err := pl.plan.Execute(eng, circuit.Bindings{Consts: consts, Inputs: inputs, ExtVecs: lr.cols, Indices: batch})
 	if err != nil {
 		return nil, err
 	}

@@ -41,9 +41,8 @@ type LR3Protocol struct {
 	feat *IntMatrixView
 	lab  []int64
 
-	eng        bgw.Evaluator
-	featShares []bgw.Vec
-	labShares  bgw.Vec
+	eng  bgw.Evaluator
+	cols []bgw.Vec // shared feature columns, then the label column
 
 	// Compiled gradient plans keyed by batch size (see LRProtocol).
 	plans map[int]*lrPlan
@@ -141,11 +140,10 @@ func NewLR3Protocol(features *linalg.Matrix, labels []float64, p Params, precisi
 			eng.Close()
 			return nil, err
 		}
-		lr.featShares = make([]bgw.Vec, lr.d)
-		for j := 0; j < lr.d; j++ {
-			lr.featShares[j] = sres.VecOf(featH[j])
+		lr.cols = make([]bgw.Vec, 0, lr.d+1)
+		for _, h := range append(featH, labH) {
+			lr.cols = append(lr.cols, sres.VecOf(h))
 		}
-		lr.labShares = sres.VecOf(labH)
 		if err := eng.Err(); err != nil {
 			eng.Close()
 			return nil, err
@@ -295,15 +293,7 @@ func (lr *LR3Protocol) gradientPlan(B int) *lrPlan {
 	// literal rather than a parameter.
 	labelCoef := int64(float64(lr.k*lr.k*lr.k) * math.Pow(lr.p.Gamma, 3))
 
-	feats := make([][]bgw.Val, B)
-	labs := make([]bgw.Val, B)
-	for bi := 0; bi < B; bi++ {
-		feats[bi] = make([]bgw.Val, lr.d)
-		for j := 0; j < lr.d; j++ {
-			feats[bi][j] = b.ExtVal()
-		}
-		labs[bi] = b.ExtVal()
-	}
+	feats, labs := batchRows(b, lr.d, lr.m, B)
 
 	noiseShared := make([]bgw.Val, lr.d)
 	for t := 0; t < lr.d; t++ {
@@ -354,14 +344,6 @@ func (lr *LR3Protocol) mpcGradient(wq, wc []int64, qHalf, labelCoef int64, batch
 	consts = append(consts, wc...)
 	consts = append(consts, qHalf)
 
-	ext := make([]bgw.Val, 0, len(batch)*(lr.d+1))
-	for _, i := range batch {
-		for j := 0; j < lr.d; j++ {
-			ext = append(ext, eng.At(lr.featShares[j], i))
-		}
-		ext = append(ext, eng.At(lr.labShares, i))
-	}
-
 	noiseStart := time.Now()
 	inputs := make([]int64, 0, lr.d*len(noise))
 	for t := 0; t < lr.d; t++ {
@@ -372,7 +354,7 @@ func (lr *LR3Protocol) mpcGradient(wq, wc []int64, qHalf, labelCoef int64, batch
 	tr.NoiseCompute += time.Since(noiseStart)
 	tr.NoiseRounds++
 
-	res, err := pl.plan.Execute(eng, circuit.Bindings{Consts: consts, Inputs: inputs, Ext: ext})
+	res, err := pl.plan.Execute(eng, circuit.Bindings{Consts: consts, Inputs: inputs, ExtVecs: lr.cols, Indices: batch})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/linalg"
 	"sqm/internal/randx"
 )
@@ -263,4 +264,40 @@ func TestLR3PlannedRoundsIndependentOfBatch(t *testing.T) {
 	if stSmall.Messages >= stLarge.Messages {
 		t.Errorf("logical messages should grow with B: B=2 %d, B=6 %d", stSmall.Messages, stLarge.Messages)
 	}
+}
+
+// TestLR3PlanAllocsIndependentOfBatch pins allocation-free plan
+// execution: re-running the compiled lr3 gradient plan on the
+// monolithic engine allocates O(levels) — the same count at B=32 as at
+// B=256, although the B=256 plan has eight times the nodes.
+func TestLR3PlanAllocsIndependentOfBatch(t *testing.T) {
+	x, y := lrTestData(300, 8, 5)
+	proto, err := NewLR3Protocol(x, y, Params{Gamma: 16, Mu: 20, Seed: 3, Engine: EngineBGW, NumClients: 4}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proto.Close()
+	allocs := func(B int) float64 {
+		pl := proto.gradientPlan(B)
+		bind := circuit.Bindings{
+			Consts:  make([]int64, 2*proto.d+1),
+			Inputs:  make([]int64, proto.d*proto.p.NumClients),
+			ExtVecs: proto.cols,
+			Indices: make([]int, B),
+		}
+		for i := range bind.Indices {
+			bind.Indices[i] = (7 * i) % proto.m
+		}
+		opts := circuit.ExecOptions{Workers: 2}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := pl.plan.ExecuteOpts(proto.eng, bind, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(32), allocs(256)
+	if small != large {
+		t.Fatalf("allocs per execution: B=32 %.0f, B=256 %.0f; want equal", small, large)
+	}
+	t.Logf("allocs per execution: %.0f", small)
 }

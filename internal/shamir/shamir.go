@@ -19,16 +19,31 @@ func Share(secret field.Elem, t, n int, rng *randx.RNG) []field.Elem {
 	if t < 0 || n <= t {
 		panic(invariant.Violation("shamir: invalid threshold t=%d for n=%d", t, n))
 	}
-	coefs := make([]field.Elem, t+1)
-	coefs[0] = secret
-	for i := 1; i <= t; i++ {
-		coefs[i] = field.Rand(rng)
-	}
 	shares := make([]field.Elem, n)
-	for i := 0; i < n; i++ {
-		shares[i] = evalPoly(coefs, field.Elem(uint64(i+1)))
-	}
+	ShareInto(shares, secret, t, rng)
 	return shares
+}
+
+// ShareInto is Share writing the len(dst) shares into dst instead of a
+// fresh slice. It draws exactly the randomness Share draws, so the two
+// are interchangeable on the same stream; thresholds up to 15 keep the
+// polynomial on the stack and allocate nothing.
+func ShareInto(dst []field.Elem, secret field.Elem, t int, rng *randx.RNG) {
+	if t < 0 || len(dst) <= t {
+		panic(invariant.Violation("shamir: invalid threshold t=%d for n=%d", t, len(dst)))
+	}
+	var buf [16]field.Elem
+	coefs := buf[:0]
+	if t+1 > len(buf) {
+		coefs = make([]field.Elem, 0, t+1)
+	}
+	coefs = append(coefs, secret)
+	for i := 1; i <= t; i++ {
+		coefs = append(coefs, field.Rand(rng))
+	}
+	for i := range dst {
+		dst[i] = evalPoly(coefs, field.Elem(uint64(i+1)))
+	}
 }
 
 // evalPoly evaluates the polynomial with the given coefficients (low
