@@ -8,6 +8,7 @@ import (
 
 	"sqm"
 	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/transport"
 )
 
@@ -76,7 +77,7 @@ func BenchmarkTable5(b *testing.B) { runExperiment(b, "table5") }
 // order, MPC engines, sparse Gram).
 func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablations") }
 
-// benchDot measures one fused inner-product gate (share two length-n
+// benchDot measures one fused inner-product plan (share two length-n
 // vectors, Dot, reshare, open) on an Evaluator backend.
 func benchDot(b *testing.B, mk func() (bgw.Evaluator, error)) {
 	const n = 256
@@ -91,11 +92,16 @@ func benchDot(b *testing.B, mk func() (bgw.Evaluator, error)) {
 		b.Fatal(err)
 	}
 	defer eng.Close()
+	rec := circuit.NewBuilder(eng.Parties(), eng.Threshold())
+	rec.OpenIdx(rec.Dot(rec.InputVec(0, xs), rec.InputVec(1, ys)))
+	plan := rec.MustCompile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := eng.InputVec(0, xs)
-		c := eng.InputVec(1, ys)
-		if got := eng.Open(eng.Dot(a, c)); got == 0 {
+		res, err := plan.Execute(eng, circuit.Bindings{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Opened(0) == 0 {
 			b.Fatal("dot opened 0")
 		}
 	}
@@ -111,13 +117,7 @@ func benchDot(b *testing.B, mk func() (bgw.Evaluator, error)) {
 func BenchmarkDotTransport(b *testing.B) {
 	cfg := bgw.Config{Parties: 4, Seed: 5, Latency: time.Nanosecond}
 	b.Run("monolithic", func(b *testing.B) {
-		benchDot(b, func() (bgw.Evaluator, error) {
-			eng, err := bgw.NewEngine(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return bgw.Eval(eng), nil
-		})
+		benchDot(b, func() (bgw.Evaluator, error) { return bgw.NewEngine(cfg) })
 	})
 	b.Run("actor-chan", func(b *testing.B) {
 		benchDot(b, func() (bgw.Evaluator, error) {

@@ -66,8 +66,8 @@ func (d *DealerSource) Triples(n int) ([]Triple, error) {
 
 // BGWSource produces triples without any trusted party, using one BGW
 // multiplication per triple and the local Shamir→additive conversion.
-// It runs against any bgw.Evaluator backend — the monolithic engine
-// (wrap with bgw.Eval) or the party-actor engine over a transport.
+// It runs against any bgw.Evaluator backend — the monolithic engine or
+// the party-actor engine over a transport.
 type BGWSource struct {
 	eng  bgw.Evaluator
 	rngs []*randx.RNG

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/field"
 	"sqm/internal/randx"
 )
@@ -167,7 +168,7 @@ func TestBGWSourceTriplesAreValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewBGWSource(bgw.Eval(bgwEng), 11)
+	src := NewBGWSource(bgwEng, 11)
 	ts, err := src.Triples(10)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +194,7 @@ func TestBeaverEngineWithBGWSourceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(Config{Parties: 4, Seed: 13, Source: NewBGWSource(bgw.Eval(bgwEng), 13)})
+	e, err := NewEngine(Config{Parties: 4, Seed: 13, Source: NewBGWSource(bgwEng, 13)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +239,19 @@ func TestOnlineCheaperThanBGWPerMultiplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := bgwEng.Input(0, 3), bgwEng.Input(1, 4)
+	setup := circuit.NewBuilder(parties, 0)
+	xh, yh := setup.InputVec(0, []int64{3}), setup.InputVec(1, []int64{4})
+	sres, err := setup.MustCompile().Execute(bgwEng, circuit.Bindings{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xy := []bgw.Vec{sres.VecOf(xh), sres.VecOf(yh)}
 	bgwEng.ResetStats()
-	bgwEng.Mul(x, y)
+	mul := circuit.NewBuilder(parties, 0)
+	mul.Mul(mul.At(mul.ExtVec(1), 0), mul.At(mul.ExtVec(1), 0))
+	if _, err := mul.MustCompile().Execute(bgwEng, circuit.Bindings{ExtVecs: xy}); err != nil {
+		t.Fatal(err)
+	}
 	bgwMsgs := bgwEng.Stats().Messages
 
 	// Beaver: 2 openings; BGW: full resharing. Equal at P=4 in message

@@ -6,6 +6,7 @@ import (
 
 	"sqm/internal/beaver"
 	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/dataset"
 	"sqm/internal/dp"
 	"sqm/internal/field"
@@ -72,17 +73,23 @@ func AblationNoiseTransport(o Options) *Table {
 		tbl.Notes = append(tbl.Notes, err.Error())
 		return tbl
 	}
-	var acc *bgw.SharedVec
+	b := circuit.NewBuilder(clients, 0)
+	var acc bgw.Vec
 	for j, shares := range draw() {
-		v := eng.InputVec(j, shares)
+		v := b.InputVec(j, shares)
 		if acc == nil {
 			acc = v
 		} else {
-			acc = eng.AddVec(acc, v)
+			acc = b.AddVec(acc, v)
 		}
 	}
-	got := eng.OpenVec(acc)
-	bgwMatch := equalInt64(got, want)
+	b.OpenVecIdx(acc)
+	res, err := b.MustCompile().Execute(eng, circuit.Bindings{})
+	if err != nil {
+		tbl.Notes = append(tbl.Notes, err.Error())
+		return tbl
+	}
+	bgwMatch := equalInt64(res.OpenedVec(0), want)
 	st := eng.Stats()
 	tbl.Rows = append(tbl.Rows, []string{"BGW inputs", fmt.Sprint(st.Messages), fmt.Sprint(st.Bytes), bgwMatch})
 
@@ -191,10 +198,20 @@ func AblationMPCEngines(o Options) *Table {
 		tbl.Notes = append(tbl.Notes, err.Error())
 		return tbl
 	}
-	xv := bgwEng.InputVec(0, xs)
-	yv := bgwEng.InputVec(1, ys)
+	xy, err := shareCols(bgwEng, [][]int64{xs, ys})
+	if err != nil {
+		tbl.Notes = append(tbl.Notes, err.Error())
+		return tbl
+	}
 	bgwEng.ResetStats()
-	bgwGot := bgwEng.Open(bgwEng.Dot(xv, yv))
+	b := circuit.NewBuilder(parties, 0)
+	b.OpenIdx(b.Dot(b.ExtVec(length), b.ExtVec(length)))
+	res, err := b.MustCompile().Execute(bgwEng, circuit.Bindings{ExtVecs: xy})
+	if err != nil {
+		tbl.Notes = append(tbl.Notes, err.Error())
+		return tbl
+	}
+	bgwGot := res.Opened(0)
 	bst := bgwEng.Stats()
 	tbl.Rows = append(tbl.Rows, []string{
 		"BGW (fused gate)", fmt.Sprint(bst.Messages), fmt.Sprint(bst.FieldOps), "0", verdict(bgwGot, want),
@@ -206,7 +223,7 @@ func AblationMPCEngines(o Options) *Table {
 		tbl.Notes = append(tbl.Notes, err.Error())
 		return tbl
 	}
-	bv, err := beaver.NewEngine(beaver.Config{Parties: parties, Seed: o.Seed, Source: beaver.NewBGWSource(bgw.Eval(offline), o.Seed)})
+	bv, err := beaver.NewEngine(beaver.Config{Parties: parties, Seed: o.Seed, Source: beaver.NewBGWSource(offline, o.Seed)})
 	if err != nil {
 		tbl.Notes = append(tbl.Notes, err.Error())
 		return tbl
@@ -240,6 +257,27 @@ func AblationMPCEngines(o Options) *Table {
 	tbl.Notes = append(tbl.Notes,
 		"BGW's fused gate wins when products can batch into one resharing; Beaver wins per isolated multiplication once triples are precomputed offline")
 	return tbl
+}
+
+// shareCols shares column j from party j mod P in a one-round setup
+// plan and returns the engine's handles to the shared columns, to bind
+// as the ExtVecs of a measured plan so that its counters exclude the
+// input round.
+func shareCols(eng bgw.Evaluator, cols [][]int64) ([]bgw.Vec, error) {
+	b := circuit.NewBuilder(eng.Parties(), eng.Threshold())
+	hs := make([]bgw.Vec, len(cols))
+	for j, c := range cols {
+		hs[j] = b.InputVec(j%eng.Parties(), c)
+	}
+	res, err := b.MustCompile().Execute(eng, circuit.Bindings{})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bgw.Vec, len(hs))
+	for j, h := range hs {
+		out[j] = res.VecOf(h)
+	}
+	return out, nil
 }
 
 func verdict(got, want int64) string {
@@ -367,29 +405,46 @@ func AblationFusedGates(o Options) *Table {
 	x := dataset.KDDCupLike(m, n, o.Seed).X
 	qd := quant.Matrix(x, 64, randx.New(o.Seed), nil)
 
+	data := make([][]int64, n)
+	for j := range data {
+		data[j] = qd.Col(j)
+	}
 	run := func(fused bool) (int64, int64, []int64) {
 		eng, err := bgw.NewEngine(bgw.Config{Parties: parties, Seed: o.Seed})
 		if err != nil {
 			return 0, 0, nil
 		}
-		cols := make([]*bgw.SharedVec, n)
-		for j := 0; j < n; j++ {
-			cols[j] = eng.InputVec(j%parties, qd.Col(j))
+		cols, err := shareCols(eng, data)
+		if err != nil {
+			return 0, 0, nil
 		}
 		eng.ResetStats()
-		var out []int64
-		for a := 0; a < n; a++ {
-			for b := a; b < n; b++ {
+		b := circuit.NewBuilder(parties, 0)
+		ext := make([]bgw.Vec, n)
+		for j := range ext {
+			ext[j] = b.ExtVec(m)
+		}
+		for j := 0; j < n; j++ {
+			for k := j; k < n; k++ {
 				if fused {
-					out = append(out, eng.Open(eng.Dot(cols[a], cols[b])))
+					b.OpenIdx(b.Dot(ext[j], ext[k]))
 					continue
 				}
-				acc := eng.Zero()
+				acc := b.Zero()
 				for i := 0; i < m; i++ {
-					acc = eng.Add(acc, eng.Mul(cols[a].At(i), cols[b].At(i)))
+					acc = b.Add(acc, b.Mul(b.At(ext[j], i), b.At(ext[k], i)))
 				}
-				out = append(out, eng.Open(acc))
+				b.OpenIdx(acc)
 			}
+		}
+		plan := b.MustCompile()
+		res, err := plan.Execute(eng, circuit.Bindings{ExtVecs: cols})
+		if err != nil {
+			return 0, 0, nil
+		}
+		out := make([]int64, plan.Opens())
+		for i := range out {
+			out[i] = res.Opened(i)
 		}
 		st := eng.Stats()
 		return st.Messages, st.FieldOps, out

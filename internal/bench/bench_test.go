@@ -6,6 +6,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sqm/internal/core"
+	"sqm/internal/dataset"
+	"sqm/internal/randx"
 )
 
 // tiny returns options small enough for unit tests.
@@ -143,6 +147,59 @@ func TestEstimatorsGrowCorrectly(t *testing.T) {
 	}
 }
 
+// TestEstimatorsMatchMetering pins the hand-written cost model of the
+// timing tables to the engine's metering: on each shape the estimated
+// field operations of a PCA release, and of LR set-up plus one
+// full-batch gradient, equal the FieldOps the monolithic engine counts.
+func TestEstimatorsMatchMetering(t *testing.T) {
+	for _, sh := range []struct {
+		m, n, parties int
+		pca, lr       int64
+	}{
+		{m: 50, n: 4, parties: 4, pca: 4200, lr: 4040},
+		{m: 30, n: 6, parties: 5, pca: 8370, lr: 5820},
+		{m: 20, n: 3, parties: 3, pca: 936, lr: 1008},
+	} {
+		threshold := (sh.parties - 1) / 2
+		params := core.Params{
+			Gamma: 18, Mu: 1e6, NumClients: sh.parties,
+			Engine: core.EngineBGW, Parties: sh.parties, Threshold: threshold, Seed: 3,
+		}
+		est, _ := estimatePCAOps(sh.m, sh.n, sh.parties, threshold, sh.parties)
+		_, tr, err := core.Covariance(timingData(sh.m, sh.n, 3), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est != sh.pca || tr.Stats.FieldOps != est {
+			t.Errorf("PCA m=%d n=%d P=%d: estimated %d, measured %d, want %d",
+				sh.m, sh.n, sh.parties, est, tr.Stats.FieldOps, sh.pca)
+		}
+
+		est, _ = estimateLROps(sh.m, sh.n, sh.parties, threshold, sh.parties)
+		ds, err := dataset.ACSIncomeLike("CA", sh.m, 1, sh.n, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto, err := core.NewLRProtocol(ds.X, ds.Labels, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]int, sh.m)
+		for i := range batch {
+			batch[i] = i
+		}
+		_, gtr, err := proto.GradientSum(randx.New(3).GaussianVec(sh.n, 0.2), batch)
+		proto.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := proto.SetupStats().FieldOps + gtr.Stats.FieldOps; est != sh.lr || got != est {
+			t.Errorf("LR m=%d d=%d P=%d: estimated %d, measured %d (set-up %d), want %d",
+				sh.m, sh.n, sh.parties, est, got, proto.SetupStats().FieldOps, sh.lr)
+		}
+	}
+}
+
 func TestPCATimingRealAndExtrapolated(t *testing.T) {
 	o := tiny()
 	real := pcaTiming(o, 50, 8, 4)
@@ -269,6 +326,31 @@ func TestFastAblations(t *testing.T) {
 		if row[len(row)-1] != "exact" {
 			t.Fatalf("engine ablation result not exact: %v", row)
 		}
+	}
+	// The BGW counters are fixed by the circuits' shapes: pin them.
+	transport := AblationNoiseTransport(o)
+	for _, c := range []struct {
+		tbl        *Table
+		row, col   int
+		want       string
+		row0, col0 string
+	}{
+		{fused, 0, 1, "504", "fused (SQM)", "messages"},
+		{fused, 0, 2, "3948", "fused (SQM)", "field ops"},
+		{fused, 1, 1, "10332", "per-mult", "messages"},
+		{fused, 1, 2, "23604", "per-mult", "field ops"},
+		{engines, 0, 1, "24", "BGW (fused gate)", "online messages"},
+		{engines, 0, 2, "828", "BGW (fused gate)", "online field ops"},
+		{transport, 0, 1, "30000", "BGW inputs", "messages"},
+		{transport, 0, 2, "240000", "BGW inputs", "bytes"},
+	} {
+		if got := c.tbl.Rows[c.row][c.col]; c.tbl.Rows[c.row][0] != c.row0 || c.tbl.Header[c.col] != c.col0 || got != c.want {
+			t.Errorf("%s %s/%s = %s (row %q, column %q), want %s",
+				c.tbl.ID, c.row0, c.col0, got, c.tbl.Rows[c.row][0], c.tbl.Header[c.col], c.want)
+		}
+	}
+	if transport.Rows[0][3] != "yes" {
+		t.Errorf("BGW noise transport aggregate does not match: %v", transport.Rows[0])
 	}
 	sparse := AblationSparseGram(o)
 	if parse(t, sparse.Rows[1][2]) != 0 {

@@ -146,7 +146,7 @@ func Kernels(o Options) (*Table, map[string]float64) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := plan.ExecuteOpts(bgw.Eval(eng), circuit.Bindings{}, circuit.ExecOptions{})
+		res, err := plan.Execute(eng, circuit.Bindings{})
 		if err != nil {
 			return nil, err
 		}

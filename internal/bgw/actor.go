@@ -17,21 +17,21 @@ import (
 // ActorEngine runs the BGW protocol as P message-driven party actors
 // over a pluggable transport. Unlike the monolithic Engine — which
 // holds all parties' shares in one slice — each actor goroutine owns
-// only *its* shares and private randomness; resharing and opening
-// traffic crosses the transport as framed messages, so the
+// only *its* share column and private randomness; input, resharing and
+// opening traffic crosses the transport as framed messages, so the
 // message/byte statistics are measured from real traffic rather than
 // hand-counted.
 //
-// The facade keeps the monolithic engine's API shape (Input, Dot,
-// DotBatch, InnerProduct, Open, stats metering) and is output-identical
-// to it: BGW computes exactly, so for the same inputs the opened values
-// are bit-equal regardless of backend or share randomness.
+// It implements the same Evaluator plan steps as Engine and is
+// output-identical to it: BGW computes exactly, so for the same inputs
+// the opened values are bit-equal regardless of backend or share
+// randomness.
 //
-// The facade is driven by a single caller goroutine. Commands are
-// broadcast to every party in issue order; parties execute them in that
-// order, which keeps the per-party RNG streams and the pairwise message
-// sequences deterministic. Only operations that reveal data (Open,
-// OpenVec, AdditiveShares, Stats) synchronize the caller with the
+// The facade is driven by a single caller goroutine. Each plan step is
+// one command broadcast to every party in issue order; parties execute
+// them in that order, which keeps the per-party RNG streams and the
+// pairwise message sequences deterministic. Only steps that reveal
+// data (RunOpen, AdditiveShares, Stats) synchronize the caller with the
 // actors; everything else pipelines.
 type ActorEngine struct {
 	p, t    int
@@ -45,8 +45,8 @@ type ActorEngine struct {
 	err             error
 	closed          bool
 
-	// Plan execution (Runner): the program of the current execution
-	// and the count of executions begun.
+	// Plan execution: the program of the current execution and the
+	// count of executions begun.
 	prog  *Program
 	epoch uint64
 
@@ -77,9 +77,6 @@ type ActorVec struct {
 
 // Len returns the number of shared elements.
 func (v *ActorVec) Len() int { return v.n }
-
-// At extracts element k as a scalar handle (local to every party).
-func (v *ActorVec) At(k int) Val { return v.eng.At(v, k) }
 
 // NewActorEngine validates the configuration and starts one party
 // actor per mesh endpoint. The engine owns the mesh: Close tears both
@@ -167,16 +164,6 @@ func (e *ActorEngine) AdvanceRound() {
 			obs.Int64("frames", frames-e.lastFrames), obs.Int64("messages", msgs-e.lastMsgs))
 		e.lastFrames, e.lastMsgs = frames, msgs
 	}
-}
-
-// SetWorkers implements WorkerTunable: the bound is broadcast to every
-// party actor (applied in command order, like any other op) and governs
-// the pool that parallelizes each party's batched local arithmetic.
-// Party gate computations carry no randomness, so shares — and
-// therefore opened outputs — are identical for every setting.
-func (e *ActorEngine) SetWorkers(n int) int {
-	e.dispatch(&actorCmd{op: opSetWorkers, k: n})
-	return effectiveWorkers(n)
 }
 
 // Err returns the first failure any party actor hit (transport abort,
@@ -281,12 +268,6 @@ func (e *ActorEngine) vecRef(v Vec) int {
 	return s.ref
 }
 
-func (e *ActorEngine) checkParty(i int) {
-	if i < 0 || i >= e.p {
-		panic(invariant.Violation("bgw: party %d out of range [0,%d)", i, e.p))
-	}
-}
-
 // collectOps runs a barrier and sums the parties' cumulative local
 // field-operation counters; with telemetry enabled the per-party totals
 // are published as bgw.party.<i>.fieldops gauges.
@@ -306,101 +287,6 @@ func (e *ActorEngine) collectOps() int64 {
 		e.opsGauge.Set(float64(sum))
 	}
 	return sum
-}
-
-// ---- Evaluator operations ----
-
-// Input has party owner secret-share the signed value v; one real
-// message per receiving party crosses the transport.
-func (e *ActorEngine) Input(owner int, v int64) Val {
-	e.checkParty(owner)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opInput, owner: owner, c: v})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// InputElem has party owner secret-share a raw field element.
-func (e *ActorEngine) InputElem(owner int, el field.Elem) Val {
-	e.checkParty(owner)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opInputElem, owner: owner, elem: el})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// InputVec has party owner secret-share the signed vector vs; one
-// batched message per receiving party.
-func (e *ActorEngine) InputVec(owner int, vs []int64) Vec {
-	e.checkParty(owner)
-	ref := e.newVec()
-	ints := append([]int64(nil), vs...)
-	e.dispatch(&actorCmd{op: opInputVec, owner: owner, ints: ints})
-	return &ActorVec{eng: e, ref: ref, n: len(vs)}
-}
-
-// Zero returns a trivial sharing of 0; local.
-func (e *ActorEngine) Zero() Val {
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opZero})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// Add returns a sharing of a + b; local.
-func (e *ActorEngine) Add(a, b Val) Val {
-	ra, rb := e.scRef(a), e.scRef(b)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opAdd, a: ra, b: rb})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// Sub returns a sharing of a − b; local.
-func (e *ActorEngine) Sub(a, b Val) Val {
-	ra, rb := e.scRef(a), e.scRef(b)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opSub, a: ra, b: rb})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// AddConst returns a sharing of a + c; local.
-func (e *ActorEngine) AddConst(a Val, c int64) Val {
-	ra := e.scRef(a)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opAddConst, a: ra, c: c})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// MulConst returns a sharing of c·a; local.
-func (e *ActorEngine) MulConst(a Val, c int64) Val {
-	ra := e.scRef(a)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opMulConst, a: ra, c: c})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// Mul returns a sharing of a·b: every party multiplies its shares
-// locally and the actors run one degree-reduction resharing round over
-// the transport.
-func (e *ActorEngine) Mul(a, b Val) Val {
-	ra, rb := e.scRef(a), e.scRef(b)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opMul, a: ra, b: rb})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// InnerProduct returns a sharing of Σ_k a[k]·b[k] with the fused gate:
-// local sums of share products, then a single resharing.
-func (e *ActorEngine) InnerProduct(as, bs []Val) Val {
-	if len(as) != len(bs) {
-		panic(invariant.Violation("bgw: InnerProduct length mismatch"))
-	}
-	refs := make([]int, len(as))
-	refs2 := make([]int, len(bs))
-	for i := range as {
-		refs[i] = e.scRef(as[i])
-		refs2[i] = e.scRef(bs[i])
-	}
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opInnerProduct, refs: refs, refs2: refs2})
-	return &ActorShared{eng: e, ref: ref}
 }
 
 // AdditiveShares converts the Shamir sharing to an additive sharing:
@@ -426,173 +312,9 @@ func (e *ActorEngine) AdditiveShares(s Val, weights []field.Elem) []field.Elem {
 	return out
 }
 
-// Open reveals the signed secret: the parties exchange shares pairwise
-// over the transport, each reconstructs, and party 0 reports the value
-// to the caller. Returns 0 after a transport failure (see Err).
-func (e *ActorEngine) Open(s Val) int64 {
-	ref := e.scRef(s)
-	c := &actorCmd{op: opOpen, a: ref, reply: make(chan actorReply, e.p)}
-	if !e.dispatch(c) {
-		return 0
-	}
-	replies := e.await(c)
-	if e.err != nil {
-		return 0
-	}
-	return replies[0].val
-}
+// ---- plan execution ----
 
-// At extracts element k of a vector as a scalar; local.
-func (e *ActorEngine) At(v Vec, k int) Val {
-	rv := e.vecRef(v)
-	if k < 0 || k >= v.Len() {
-		panic(invariant.Violation("bgw: vector index out of range"))
-	}
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opAt, a: rv, k: k})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// AddVec returns the element-wise sum a + b; local.
-func (e *ActorEngine) AddVec(a, b Vec) Vec {
-	ra, rb := e.vecRef(a), e.vecRef(b)
-	if a.Len() != b.Len() {
-		panic(invariant.Violation("bgw: vector length mismatch"))
-	}
-	ref := e.newVec()
-	e.dispatch(&actorCmd{op: opAddVec, a: ra, b: rb})
-	return &ActorVec{eng: e, ref: ref, n: a.Len()}
-}
-
-// Dot returns a sharing of ⟨a, b⟩ with the fused gate (one resharing).
-func (e *ActorEngine) Dot(a, b Vec) Val {
-	ra, rb := e.vecRef(a), e.vecRef(b)
-	if a.Len() != b.Len() {
-		panic(invariant.Violation("bgw: vector length mismatch"))
-	}
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opDot, a: ra, b: rb})
-	return &ActorShared{eng: e, ref: ref}
-}
-
-// DotBatch evaluates many fused inner products in one batched resharing
-// round: every party sends a single message per peer carrying the
-// sub-shares of all pairs. workers is ignored — the parties are already
-// concurrent actors.
-func (e *ActorEngine) DotBatch(pairs []VecPair, workers int) []Val {
-	_ = workers
-	out := make([]Val, len(pairs))
-	if len(pairs) == 0 {
-		return out
-	}
-	refs := make([]int, len(pairs))
-	refs2 := make([]int, len(pairs))
-	for i, pr := range pairs {
-		refs[i] = e.vecRef(pr.A)
-		refs2[i] = e.vecRef(pr.B)
-		if pr.A.Len() != pr.B.Len() {
-			panic(invariant.Violation("bgw: vector length mismatch"))
-		}
-	}
-	for i := range out {
-		out[i] = &ActorShared{eng: e, ref: e.newSc()}
-	}
-	e.dispatch(&actorCmd{op: opDotBatch, refs: refs, refs2: refs2})
-	return out
-}
-
-// MulBatch evaluates one level of independent multiplicative gates in a
-// single batched degree-reduction round: every party computes all local
-// degree-2t values, then one reshare exchange carries every sub-share
-// in one frame per ordered party pair.
-func (e *ActorEngine) MulBatch(items []MulItem) []Val {
-	out := make([]Val, len(items))
-	if len(items) == 0 {
-		return out
-	}
-	muls := make([]mulDesc, len(items))
-	for i, it := range items {
-		switch it.Kind {
-		case MulScalar:
-			muls[i] = mulDesc{kind: MulScalar, a: e.scRef(it.A), b: e.scRef(it.B)}
-		case MulInner:
-			if len(it.As) != len(it.Bs) {
-				panic(invariant.Violation("bgw: MulBatch inner-product length mismatch"))
-			}
-			refs := make([]int, len(it.As))
-			refs2 := make([]int, len(it.Bs))
-			for k := range it.As {
-				refs[k] = e.scRef(it.As[k])
-				refs2[k] = e.scRef(it.Bs[k])
-			}
-			muls[i] = mulDesc{kind: MulInner, refs: refs, refs2: refs2}
-		case MulDot:
-			if it.VA.Len() != it.VB.Len() {
-				panic(invariant.Violation("bgw: vector length mismatch"))
-			}
-			muls[i] = mulDesc{kind: MulDot, a: e.vecRef(it.VA), b: e.vecRef(it.VB)}
-		default:
-			panic(invariant.Violation("bgw: unknown MulKind %d", it.Kind))
-		}
-	}
-	for i := range out {
-		out[i] = &ActorShared{eng: e, ref: e.newSc()}
-	}
-	e.dispatch(&actorCmd{op: opMulBatch, muls: muls})
-	return out
-}
-
-// OpenBatch reveals many shared scalars in one batched opening round;
-// party 0 reports the values to the caller.
-func (e *ActorEngine) OpenBatch(vals []Val) []int64 {
-	out := make([]int64, len(vals))
-	if len(vals) == 0 {
-		return out
-	}
-	refs := make([]int, len(vals))
-	for i, v := range vals {
-		refs[i] = e.scRef(v)
-	}
-	c := &actorCmd{op: opOpenBatch, refs: refs, reply: make(chan actorReply, e.p)}
-	if !e.dispatch(c) {
-		return out
-	}
-	replies := e.await(c)
-	if e.err != nil || replies[0].vals == nil {
-		return make([]int64, len(vals))
-	}
-	return replies[0].vals
-}
-
-// FromScalars packs scalar shares into a vector; local.
-func (e *ActorEngine) FromScalars(xs []Val) Vec {
-	refs := make([]int, len(xs))
-	for i := range xs {
-		refs[i] = e.scRef(xs[i])
-	}
-	ref := e.newVec()
-	e.dispatch(&actorCmd{op: opFromScalars, refs: refs})
-	return &ActorVec{eng: e, ref: ref, n: len(xs)}
-}
-
-// OpenVec reveals every element as one batched opening (one message per
-// ordered party pair carrying all elements).
-func (e *ActorEngine) OpenVec(v Vec) []int64 {
-	ref := e.vecRef(v)
-	c := &actorCmd{op: opOpenVec, a: ref, reply: make(chan actorReply, e.p)}
-	if !e.dispatch(c) {
-		return make([]int64, v.Len())
-	}
-	replies := e.await(c)
-	if e.err != nil || replies[0].vals == nil {
-		return make([]int64, v.Len())
-	}
-	return replies[0].vals
-}
-
-// ---- plan execution (Runner) ----
-
-// Begin implements Runner: it resolves the external vectors to the
+// Begin implements Evaluator: it resolves the external vectors to the
 // parties' vector slots and broadcasts a private copy of the bindings,
 // which the parties read while the caller is free to reuse its own.
 func (e *ActorEngine) Begin(prog *Program, bind Binding) {
@@ -618,22 +340,22 @@ func (e *ActorEngine) Begin(prog *Program, bind Binding) {
 	e.dispatch(&actorCmd{op: opBegin, exec: x})
 }
 
-// Epoch implements Runner.
+// Epoch implements Evaluator.
 func (e *ActorEngine) Epoch() uint64 { return e.epoch }
 
-// ShareInputs implements Runner: one broadcast; every input crosses the
+// ShareInputs implements Evaluator: one broadcast; every input crosses the
 // transport as one frame from its owner to each peer.
 func (e *ActorEngine) ShareInputs() { e.dispatch(&actorCmd{op: opInputs}) }
 
-// RunLocal implements Runner: one broadcast; each party runs the level's
+// RunLocal implements Evaluator: one broadcast; each party runs the level's
 // linear closure on its own column.
 func (e *ActorEngine) RunLocal(level int) { e.dispatch(&actorCmd{op: opLocal, k: level}) }
 
-// RunMul implements Runner: one broadcast; the parties run the level as
+// RunMul implements Evaluator: one broadcast; the parties run the level as
 // one batched reshare exchange.
 func (e *ActorEngine) RunMul(level int) { e.dispatch(&actorCmd{op: opLevel, k: level}) }
 
-// RunOpen implements Runner: the parties open every output and party 0
+// RunOpen implements Evaluator: the parties open every output and party 0
 // reports them. After a failure the outputs read zero (see Err).
 func (e *ActorEngine) RunOpen() ([]int64, [][]int64) {
 	c := &actorCmd{op: opOpens, reply: make(chan actorReply, e.p)}
@@ -656,7 +378,7 @@ func (e *ActorEngine) RunOpen() ([]int64, [][]int64) {
 	return opened, vecs
 }
 
-// Keep implements Runner: every party copies its share in slot out of
+// Keep implements Evaluator: every party copies its share in slot out of
 // the arena into a scalar slot of its own.
 func (e *ActorEngine) Keep(slot int32) Val {
 	ref := e.newSc()
@@ -664,7 +386,7 @@ func (e *ActorEngine) Keep(slot int32) Val {
 	return &ActorShared{eng: e, ref: ref}
 }
 
-// KeepVec implements Runner: every party copies its n shares at ref out
+// KeepVec implements Evaluator: every party copies its n shares at ref out
 // of the arena (or out of the bound external vector).
 func (e *ActorEngine) KeepVec(ref int32, n int) Vec {
 	vref := e.newVec()

@@ -1,54 +1,75 @@
-package bgw
+package bgw_test
 
 import (
+	"slices"
 	"testing"
 
+	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/field"
-	"sqm/internal/shamir"
 	"sqm/internal/transport"
 )
 
-// evalProgram runs one fixed circuit exercising every Evaluator
-// operation and returns all opened values in order. Openings only
-// depend on the secret inputs — BGW computes exactly — so every
-// backend must produce the identical trace.
-func evalProgram(t *testing.T, ev Evaluator) []int64 {
+// evalProgram shares two columns in a setup plan, then runs one plan
+// exercising every recorded operation twice with different bindings,
+// and returns all opened values in order. Openings only depend on the
+// secret inputs — BGW computes exactly — so every backend must produce
+// the identical trace.
+func evalProgram(t *testing.T, ev bgw.Evaluator) []int64 {
 	t.Helper()
+	cols := shareCols(t, ev, []int64{1, -2, 3, -4}, []int64{5, 6, -7, 8})
+
+	p := ev.Parties()
+	b := circuit.NewBuilder(p, ev.Threshold())
+	x := b.Input(0, 37)
+	y := b.InputElem(1, field.FromInt64(-12))
+	z := b.InputParam(2)
+	w := b.InputVecParam(1, 4)
+	c := b.ConstParam()
+	row := b.IndexParam()
+	u, v := b.ExtVec(4), b.ExtVec(4)
+
+	b.OpenIdx(b.Add(x, y))
+	b.OpenIdx(b.Sub(x, z))
+	b.OpenIdx(b.AddConst(y, 99))
+	b.OpenIdx(b.MulConst(z, -3))
+	b.OpenIdx(b.AddConstP(x, c))
+	b.OpenIdx(b.MulConstP(y, c))
+	xy := b.Mul(x, y)
+	b.OpenIdx(xy)
+	b.OpenIdx(b.Mul(xy, b.AddConst(z, 1))) // depth 2
+	b.OpenIdx(b.Zero())
+	b.OpenIdx(b.InnerProduct([]bgw.Val{x, y, z}, []bgw.Val{z, y, x}))
+	b.OpenIdx(b.Dot(u, v))
+	b.OpenIdx(b.Dot(w, b.AddVec(u, w)))
+	b.OpenIdx(b.At(b.AddVec(u, v), 2))
+	b.OpenIdx(b.Mul(b.AtIndex(u, row), b.AtIndex(v, row)))
+	b.OpenVecIdx(u)
+	b.OpenVecIdx(b.AddVec(w, v))
+	b.OpenVecIdx(b.FromScalars([]bgw.Val{x, y, xy}))
+	plan := b.MustCompile()
+
 	var out []int64
-
-	a := ev.Input(0, 37)
-	b := ev.Input(1, -12)
-	c := ev.Input(2, 1000003)
-	ev.AdvanceRound()
-
-	out = append(out, ev.Open(ev.Add(a, b)))
-	out = append(out, ev.Open(ev.Sub(a, c)))
-	out = append(out, ev.Open(ev.AddConst(b, 99)))
-	out = append(out, ev.Open(ev.MulConst(c, -3)))
-	out = append(out, ev.Open(ev.Mul(a, b)))
-	ev.AdvanceRound()
-	out = append(out, ev.Open(ev.Zero()))
-	out = append(out, ev.Open(ev.InnerProduct([]Val{a, b, c}, []Val{c, b, a})))
-
-	u := ev.InputVec(0, []int64{1, -2, 3, -4})
-	v := ev.InputVec(1, []int64{5, 6, -7, 8})
-	ev.AdvanceRound()
-	out = append(out, ev.Open(ev.Dot(u, v)))
-	out = append(out, ev.Open(ev.At(ev.AddVec(u, v), 2)))
-	out = append(out, ev.OpenVec(u)...)
-
-	dots := ev.DotBatch([]VecPair{{A: u, B: v}, {A: u, B: u}, {A: v, B: v}}, 2)
-	ev.AdvanceRound()
-	for _, d := range dots {
-		out = append(out, ev.Open(d))
+	for i, bind := range []circuit.Bindings{
+		{Inputs: []int64{1000003}, InputVecs: [][]int64{{2, 0, -1, 9}}, Consts: []int64{7}, Indices: []int{3}},
+		{Inputs: []int64{-5}, InputVecs: [][]int64{{-8, 4, 4, 1}}, Consts: []int64{-2}, Indices: []int{0}},
+	} {
+		bind.ExtVecs = cols
+		res, err := plan.Execute(ev, bind)
+		if err != nil {
+			t.Fatalf("execution %d: %v", i, err)
+		}
+		out = append(out, opened(res, plan.Opens())...)
+		for k := 0; k < 3; k++ {
+			out = append(out, res.OpenedVec(k)...)
+		}
 	}
-	out = append(out, ev.OpenVec(ev.FromScalars([]Val{a, b}))...)
 	return out
 }
 
-func newActorChan(t *testing.T, cfg Config) *ActorEngine {
+func newActorChan(t *testing.T, cfg bgw.Config) *bgw.ActorEngine {
 	t.Helper()
-	eng, err := NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties))
+	eng, err := bgw.NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties))
 	if err != nil {
 		t.Fatalf("NewActorEngine: %v", err)
 	}
@@ -56,33 +77,40 @@ func newActorChan(t *testing.T, cfg Config) *ActorEngine {
 	return eng
 }
 
-func newActorTCP(t *testing.T, cfg Config) *ActorEngine {
+func newActorTCP(t *testing.T, cfg bgw.Config) *bgw.ActorEngine {
 	t.Helper()
 	mesh, err := transport.NewTCPMesh(cfg.Parties)
 	if err != nil {
 		t.Fatalf("NewTCPMesh: %v", err)
 	}
-	eng, err := NewActorEngine(cfg, mesh)
+	eng, err := bgw.NewActorEngine(cfg, mesh)
 	if err != nil {
 		t.Fatalf("NewActorEngine: %v", err)
 	}
 	t.Cleanup(func() { eng.Close() })
 	return eng
+}
+
+// mulPlan records x·y for x owned by party 0 and y by party 1, opened.
+func mulPlan(parties int, x, y int64) *circuit.Plan {
+	b := circuit.NewBuilder(parties, 0)
+	b.OpenIdx(b.Mul(b.Input(0, x), b.Input(1, y)))
+	return b.MustCompile()
 }
 
 // TestActorMatchesMonolithic checks that the party-actor engine opens
 // bit-identical values to the monolithic engine over both transports.
 func TestActorMatchesMonolithic(t *testing.T) {
 	for _, parties := range []int{3, 5} {
-		cfg := Config{Parties: parties, Seed: 42}
-		mono, err := NewEngine(cfg)
+		cfg := bgw.Config{Parties: parties, Seed: 42}
+		mono, err := bgw.NewEngine(cfg)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
-		want := evalProgram(t, Eval(mono))
+		want := evalProgram(t, mono)
 
 		chanEng := newActorChan(t, cfg)
-		if got := evalProgram(t, chanEng); !equalInt64(got, want) {
+		if got := evalProgram(t, chanEng); !slices.Equal(got, want) {
 			t.Errorf("P=%d chan mesh: got %v, want %v", parties, got, want)
 		}
 		if err := chanEng.Err(); err != nil {
@@ -90,7 +118,7 @@ func TestActorMatchesMonolithic(t *testing.T) {
 		}
 
 		tcpEng := newActorTCP(t, cfg)
-		if got := evalProgram(t, tcpEng); !equalInt64(got, want) {
+		if got := evalProgram(t, tcpEng); !slices.Equal(got, want) {
 			t.Errorf("P=%d tcp mesh: got %v, want %v", parties, got, want)
 		}
 		if err := tcpEng.Err(); err != nil {
@@ -102,43 +130,41 @@ func TestActorMatchesMonolithic(t *testing.T) {
 // TestActorSeedIndependence: opened values must not depend on the share
 // randomness, only on the inputs.
 func TestActorSeedIndependence(t *testing.T) {
-	cfg1 := Config{Parties: 3, Seed: 1}
-	cfg2 := Config{Parties: 3, Seed: 0xdeadbeef}
-	got1 := evalProgram(t, newActorChan(t, cfg1))
-	got2 := evalProgram(t, newActorChan(t, cfg2))
-	if !equalInt64(got1, got2) {
+	got1 := evalProgram(t, newActorChan(t, bgw.Config{Parties: 3, Seed: 1}))
+	got2 := evalProgram(t, newActorChan(t, bgw.Config{Parties: 3, Seed: 0xdeadbeef}))
+	if !slices.Equal(got1, got2) {
 		t.Errorf("opened values depend on share randomness: %v vs %v", got1, got2)
 	}
 }
 
 // TestActorFieldOpsMatchMonolithic: the per-party field-op counters are
-// sliced from the monolithic cost model, so their sum must agree.
+// sliced from the monolithic cost model, so their sum must agree; the
+// measured traffic must agree with the monolithic engine's metering.
 func TestActorFieldOpsMatchMonolithic(t *testing.T) {
-	cfg := Config{Parties: 5, Seed: 7}
-	mono, err := NewEngine(cfg)
+	cfg := bgw.Config{Parties: 5, Seed: 7}
+	mono, err := bgw.NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	evalProgram(t, Eval(mono))
+	evalProgram(t, mono)
 	eng := newActorChan(t, cfg)
 	evalProgram(t, eng)
-	if got, want := eng.Stats().FieldOps, mono.Stats().FieldOps; got != want {
-		t.Errorf("FieldOps = %d, want %d (monolithic model)", got, want)
-	}
-	if got, want := eng.Stats().Rounds, mono.Stats().Rounds; got != want {
-		t.Errorf("Rounds = %d, want %d", got, want)
+	if got, want := eng.Stats(), mono.Stats(); got != want {
+		t.Errorf("actor stats %+v, want the monolithic model's %+v", got, want)
 	}
 }
 
-// TestActorStatsMeasured: the chan mesh counts real traffic; for the
-// simple ops the measured counts coincide with the monolithic model
-// (P−1 messages per input, P(P−1) per resharing and opening).
+// TestActorStatsMeasured: the chan mesh counts real traffic; the
+// measured counts coincide with the monolithic model (P−1 messages per
+// input, P(P−1) per resharing and opening).
 func TestActorStatsMeasured(t *testing.T) {
-	cfg := Config{Parties: 3, Seed: 9}
+	cfg := bgw.Config{Parties: 3, Seed: 9}
 	eng := newActorChan(t, cfg)
-	a := eng.Input(0, 5)
-	b := eng.Input(1, 7)
-	if got := eng.Open(eng.Mul(a, b)); got != 35 {
+	res, err := mulPlan(3, 5, 7).Execute(eng, circuit.Bindings{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Opened(0); got != 35 {
 		t.Fatalf("Open(Mul) = %d, want 35", got)
 	}
 	st := eng.Stats()
@@ -156,97 +182,97 @@ func TestActorStatsMeasured(t *testing.T) {
 	}
 }
 
-// TestActorAbort kills one party's endpoint mid-protocol: the engine
-// must fail fast with a sticky error instead of hanging, and later
-// openings must return zero values.
-func TestActorAbort(t *testing.T) {
-	cfg := Config{Parties: 3, Seed: 3}
-	mesh := transport.NewChanMesh(cfg.Parties)
-	eng, err := NewActorEngine(cfg, mesh)
+// checkAbort executes x·y = 143 on eng, kills party 2's endpoint, and
+// demands that the engine fails fast with a sticky error instead of
+// hanging and that every later execution opens zeros.
+func checkAbort(t *testing.T, eng *bgw.ActorEngine, mesh transport.Mesh) {
+	t.Helper()
+	plan := mulPlan(3, 11, 13)
+	res, err := plan.Execute(eng, circuit.Bindings{})
 	if err != nil {
-		t.Fatalf("NewActorEngine: %v", err)
+		t.Fatal(err)
 	}
-	defer eng.Close()
-
-	a := eng.Input(0, 11)
-	b := eng.Input(1, 13)
-	if got := eng.Open(eng.Mul(a, b)); got != 143 {
+	if got := res.Opened(0); got != 143 {
 		t.Fatalf("pre-abort Open = %d, want 143", got)
 	}
 
 	mesh.Conn(2).Close() // party 2 dies
 
-	c := eng.Mul(a, b) // resharing now fails for the survivors
-	if got := eng.Open(c); got != 0 {
+	// The input round or the resharing now fails for the survivors.
+	if res, err = plan.Execute(eng, circuit.Bindings{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Opened(0); got != 0 {
 		t.Errorf("post-abort Open = %d, want 0", got)
 	}
 	if eng.Err() == nil {
 		t.Error("Err() = nil after abort, want transport failure")
 	}
-	// Every later operation is a no-op returning zero values.
-	if got := eng.Open(eng.Add(a, b)); got != 0 {
-		t.Errorf("Open after failure = %d, want 0", got)
+	// Every later execution is a no-op opening zero values.
+	b := circuit.NewBuilder(3, 0)
+	b.OpenVecIdx(b.InputVec(0, []int64{1, 2}))
+	res, err = b.MustCompile().Execute(eng, circuit.Bindings{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := eng.OpenVec(eng.InputVec(0, []int64{1, 2})); len(got) != 2 || got[0] != 0 || got[1] != 0 {
+	if got := res.OpenedVec(0); !slices.Equal(got, []int64{0, 0}) {
 		t.Errorf("OpenVec after failure = %v, want zeros", got)
 	}
+}
+
+// TestActorAbort kills one party's endpoint mid-protocol on the
+// in-memory mesh.
+func TestActorAbort(t *testing.T) {
+	mesh := transport.NewChanMesh(3)
+	eng, err := bgw.NewActorEngine(bgw.Config{Parties: 3, Seed: 3}, mesh)
+	if err != nil {
+		t.Fatalf("NewActorEngine: %v", err)
+	}
+	defer eng.Close()
+	checkAbort(t, eng, mesh)
 }
 
 // TestActorAbortTCP: the same death cascades through real sockets as
 // EOFs/resets.
 func TestActorAbortTCP(t *testing.T) {
-	cfg := Config{Parties: 3, Seed: 3}
-	mesh, err := transport.NewTCPMesh(cfg.Parties)
+	mesh, err := transport.NewTCPMesh(3)
 	if err != nil {
 		t.Fatalf("NewTCPMesh: %v", err)
 	}
-	eng, err := NewActorEngine(cfg, mesh)
+	eng, err := bgw.NewActorEngine(bgw.Config{Parties: 3, Seed: 3}, mesh)
 	if err != nil {
 		t.Fatalf("NewActorEngine: %v", err)
 	}
 	defer eng.Close()
-
-	a := eng.Input(0, 11)
-	b := eng.Input(1, 13)
-	if got := eng.Open(eng.Mul(a, b)); got != 143 {
-		t.Fatalf("pre-abort Open = %d, want 143", got)
-	}
-	mesh.Conn(2).Close()
-	if got := eng.Open(eng.Mul(a, b)); got != 0 {
-		t.Errorf("post-abort Open = %d, want 0", got)
-	}
-	if eng.Err() == nil {
-		t.Error("Err() = nil after abort, want transport failure")
-	}
+	checkAbort(t, eng, mesh)
 }
 
 // TestActorAdditiveShares: the additive conversion must reconstruct the
 // secret, matching the monolithic semantics.
 func TestActorAdditiveShares(t *testing.T) {
-	cfg := Config{Parties: 3, Seed: 5}
-	eng := newActorChan(t, cfg)
-	s := eng.InputElem(0, field.FromInt64(12345))
-	weights := lagrangeWeightsForTest(cfg.Parties)
-	adds := eng.AdditiveShares(s, weights)
-	var sum field.Elem
-	for _, x := range adds {
-		sum = field.Add(sum, x)
-	}
-	if got := field.ToInt64(sum); got != 12345 {
+	eng := newActorChan(t, bgw.Config{Parties: 3, Seed: 5})
+	b := circuit.NewBuilder(3, 0)
+	x := b.InputElem(0, field.FromInt64(12345))
+	if got := field.ToInt64(secretOf(eng, run(t, eng, b, circuit.Bindings{}).ValOf(x))); got != 12345 {
 		t.Errorf("sum of additive shares = %d, want 12345", got)
 	}
 }
 
-// TestActorCloseIdempotent: Close twice, then verify operations after
-// close return zero values without hanging.
+// TestActorCloseIdempotent: Close twice, then verify an execution after
+// close opens zero values without hanging.
 func TestActorCloseIdempotent(t *testing.T) {
-	cfg := Config{Parties: 3, Seed: 1}
-	eng, err := NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties))
+	eng, err := bgw.NewActorEngine(bgw.Config{Parties: 3, Seed: 1}, transport.NewChanMesh(3))
 	if err != nil {
 		t.Fatalf("NewActorEngine: %v", err)
 	}
-	a := eng.Input(0, 4)
-	if got := eng.Open(a); got != 4 {
+	b := circuit.NewBuilder(3, 0)
+	b.OpenIdx(b.InputParam(0))
+	plan := b.MustCompile()
+	res, err := plan.Execute(eng, circuit.Bindings{Inputs: []int64{4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Opened(0); got != 4 {
 		t.Fatalf("Open = %d, want 4", got)
 	}
 	if err := eng.Close(); err != nil {
@@ -255,23 +281,10 @@ func TestActorCloseIdempotent(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if got := eng.Open(eng.Input(0, 9)); got != 0 {
+	if res, err = plan.Execute(eng, circuit.Bindings{Inputs: []int64{9}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Opened(0); got != 0 {
 		t.Errorf("Open after Close = %d, want 0", got)
 	}
-}
-
-func lagrangeWeightsForTest(p int) []field.Elem {
-	return shamir.LagrangeAtZero(shamir.PartyPoints(p))
-}
-
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -17,29 +17,9 @@ import (
 type actorOp uint8
 
 const (
-	opInput actorOp = iota
-	opInputElem
-	opInputVec
-	opZero
-	opAdd
-	opSub
-	opAddConst
-	opMulConst
-	opMul
-	opInnerProduct
-	opDot
-	opDotBatch
-	opAt
-	opAddVec
-	opFromScalars
-	opOpen
-	opOpenVec
-	opAdditive
+	opAdditive actorOp = iota
 	opBarrier
-	opMulBatch
-	opOpenBatch
-	opSetWorkers
-	// Plan execution (Runner): one command per step, not per node.
+	// Plan execution: one command per step, not per node.
 	opBegin
 	opInputs
 	opLocal
@@ -49,30 +29,13 @@ const (
 	opKeepVec
 )
 
-// mulDesc is the wire form of one MulBatch item: operand slots resolved
-// facade-side so the parties only index their share arrays.
-type mulDesc struct {
-	kind  MulKind
-	a, b  int   // scalar (MulScalar) or vector (MulDot) slots
-	refs  []int // MulInner operand list A
-	refs2 []int // MulInner operand list B
-}
-
 // actorCmd is one broadcast command. Operand fields are interpreted per
-// opcode; refs/refs2 carry operand lists for the fused gates. The
-// payload is read-only for the parties — the facade never mutates a
-// command after dispatch.
+// opcode. The payload is read-only for the parties — the facade never
+// mutates a command after dispatch.
 type actorCmd struct {
 	op      actorOp
-	a, b    int          // scalar or vector slot operands
-	k       int          // element index (opAt)
-	c       int64        // public constant or signed input (opInput, opAddConst, opMulConst)
-	elem    field.Elem   // raw field input (opInputElem)
-	owner   int          // input owner (opInput*, also used by opInputVec)
-	ints    []int64      // signed input vector (opInputVec)
-	refs    []int        // operand list A (opInnerProduct, opDotBatch, opFromScalars, opOpenBatch)
-	refs2   []int        // operand list B
-	muls    []mulDesc    // gate list (opMulBatch)
+	a       int          // scalar slot (opAdditive), arena slot (opKeep) or vector ref (opKeepVec)
+	k       int          // level (opLocal, opLevel) or vector length (opKeepVec)
 	weights []field.Elem // Lagrange weights (opAdditive)
 	exec    *actorExec   // one execution's bindings (opBegin)
 	reply   chan actorReply
@@ -92,7 +55,6 @@ type actorExec struct {
 // actorReply is one party's answer to a synchronizing command.
 type actorReply struct {
 	party int
-	val   int64
 	vals  []int64
 	vecs  [][]int64
 	elem  field.Elem
@@ -111,8 +73,8 @@ type actorParty struct {
 	cmds     chan *actorCmd
 	workers  int // per-party pool bound for batched local arithmetic
 
-	sc       []field.Elem   // scalar share slots, indexed by facade refs
-	vc       [][]field.Elem // vector share slots
+	sc       []field.Elem   // kept scalar shares (Keep), indexed by facade refs
+	vc       [][]field.Elem // kept vector shares (KeepVec)
 	dec      []field.Elem   // decode scratch, reused across rounds
 	fieldOps int64
 	err      error
@@ -154,157 +116,10 @@ func (a *actorParty) run() {
 // send exactly one reply on success; on error the run loop replies.
 func (a *actorParty) exec(c *actorCmd) error {
 	switch c.op {
-	case opInput:
-		return a.input(c.owner, field.FromInt64(c.c))
-	case opInputElem:
-		return a.input(c.owner, c.elem)
-	case opInputVec:
-		mine := make([]field.Elem, len(c.ints))
-		if err := a.shareInput(c.owner, mine, func(k int) field.Elem { return field.FromInt64(c.ints[k]) }); err != nil {
-			return err
-		}
-		a.vc = append(a.vc, mine)
-	case opZero:
-		a.sc = append(a.sc, 0)
-	case opAdd:
-		a.sc = append(a.sc, field.Add(a.sc[c.a], a.sc[c.b]))
-	case opSub:
-		a.sc = append(a.sc, field.Sub(a.sc[c.a], a.sc[c.b]))
-	case opAddConst:
-		a.sc = append(a.sc, field.Add(a.sc[c.a], field.FromInt64(c.c)))
-	case opMulConst:
-		a.sc = append(a.sc, field.Mul(a.sc[c.a], field.FromInt64(c.c)))
-		a.fieldOps++
-	case opMul:
-		prod := field.Mul(a.sc[c.a], a.sc[c.b])
-		a.fieldOps++
-		out, err := a.reshare([]field.Elem{prod})
-		if err != nil {
-			return err
-		}
-		a.sc = append(a.sc, out[0])
-	case opInnerProduct:
-		var acc field.Elem
-		for i := range c.refs {
-			acc = field.Add(acc, field.Mul(a.sc[c.refs[i]], a.sc[c.refs2[i]]))
-		}
-		a.fieldOps += int64(len(c.refs))
-		out, err := a.reshare([]field.Elem{acc})
-		if err != nil {
-			return err
-		}
-		a.sc = append(a.sc, out[0])
-	case opDot:
-		va, vb := a.vc[c.a], a.vc[c.b]
-		acc := field.DotAcc(0, va, vb)
-		a.fieldOps += int64(len(va))
-		out, err := a.reshare([]field.Elem{acc})
-		if err != nil {
-			return err
-		}
-		a.sc = append(a.sc, out[0])
-	case opDotBatch:
-		accs := make([]field.Elem, len(c.refs))
-		for m := range c.refs {
-			a.fieldOps += int64(len(a.vc[c.refs[m]]))
-		}
-		parallelChunks(len(c.refs), clampWorkers(a.workers, len(c.refs)), func(_, start, end int) {
-			for m := start; m < end; m++ {
-				accs[m] = field.DotAcc(0, a.vc[c.refs[m]], a.vc[c.refs2[m]])
-			}
-		})
-		out, err := a.reshare(accs)
-		if err != nil {
-			return err
-		}
-		a.sc = append(a.sc, out...)
-	case opAt:
-		a.sc = append(a.sc, a.vc[c.a][c.k])
-	case opAddVec:
-		va, vb := a.vc[c.a], a.vc[c.b]
-		out := make([]field.Elem, len(va))
-		field.AddVec(out, va, vb)
-		a.vc = append(a.vc, out)
-	case opFromScalars:
-		out := make([]field.Elem, len(c.refs))
-		for k, r := range c.refs {
-			out[k] = a.sc[r]
-		}
-		a.vc = append(a.vc, out)
-	case opOpen:
-		vals, err := a.openValues([]field.Elem{a.sc[c.a]})
-		if err != nil {
-			return err
-		}
-		c.reply <- actorReply{party: a.id, val: field.ToInt64(vals[0])}
-	case opOpenVec:
-		vals, err := a.openValues(a.vc[c.a])
-		if err != nil {
-			return err
-		}
-		r := actorReply{party: a.id}
-		if a.id == 0 {
-			r.vals = toInt64s(vals)
-		}
-		c.reply <- r
-	case opMulBatch:
-		// Validation and op metering run serially (shape-only); the
-		// per-gate arithmetic splits across the worker pool. Gates have
-		// no randomness, so every worker count computes identical highs.
-		for _, d := range c.muls {
-			switch d.kind {
-			case MulScalar:
-				a.fieldOps++
-			case MulInner:
-				a.fieldOps += int64(len(d.refs))
-			case MulDot:
-				a.fieldOps += int64(len(a.vc[d.a]))
-			default:
-				return fmt.Errorf("unknown mul kind %d", d.kind)
-			}
-		}
-		highs := make([]field.Elem, len(c.muls))
-		parallelChunks(len(c.muls), clampWorkers(a.workers, len(c.muls)), func(_, start, end int) {
-			for m := start; m < end; m++ {
-				switch d := c.muls[m]; d.kind {
-				case MulScalar:
-					highs[m] = field.Mul(a.sc[d.a], a.sc[d.b])
-				case MulInner:
-					var acc field.Elem
-					for i := range d.refs {
-						acc = field.Add(acc, field.Mul(a.sc[d.refs[i]], a.sc[d.refs2[i]]))
-					}
-					highs[m] = acc
-				case MulDot:
-					highs[m] = field.DotAcc(0, a.vc[d.a], a.vc[d.b])
-				}
-			}
-		})
-		out, err := a.reshare(highs)
-		if err != nil {
-			return err
-		}
-		a.sc = append(a.sc, out...)
-	case opOpenBatch:
-		mine := make([]field.Elem, len(c.refs))
-		for m, r := range c.refs {
-			mine[m] = a.sc[r]
-		}
-		vals, err := a.openValues(mine)
-		if err != nil {
-			return err
-		}
-		r := actorReply{party: a.id}
-		if a.id == 0 {
-			r.vals = toInt64s(vals)
-		}
-		c.reply <- r
 	case opAdditive:
 		c.reply <- actorReply{party: a.id, elem: field.Mul(c.weights[a.id], a.sc[c.a])}
 	case opBarrier:
 		c.reply <- actorReply{party: a.id, ops: a.fieldOps}
-	case opSetWorkers:
-		a.workers = c.k
 	case opBegin:
 		a.begin(c.exec)
 	case opInputs:
@@ -353,16 +168,6 @@ func (a *actorParty) shareInput(owner int, dst []field.Elem, value func(k int) f
 	}
 	a.fieldOps += int64(n * a.p * (a.t + 1))
 	return a.sendFrames(n)
-}
-
-// input shares one scalar into a new scalar slot.
-func (a *actorParty) input(owner int, v field.Elem) error {
-	var got [1]field.Elem
-	if err := a.shareInput(owner, got[:], func(int) field.Elem { return v }); err != nil {
-		return err
-	}
-	a.sc = append(a.sc, got[0])
-	return nil
 }
 
 // reshare runs one degree-reduction round for a batch of degree-2t
@@ -477,7 +282,7 @@ func (a *actorParty) sendFrames(msgs int) error {
 	return nil
 }
 
-// ---- plan execution (Runner) ----
+// ---- plan execution ----
 
 // begin points the party's kernel at its recycled arena column and the
 // execution's bindings.

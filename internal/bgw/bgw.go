@@ -8,12 +8,17 @@
 //     degree-reduction resharing round,
 //  3. outputs are opened by exchanging shares and interpolating at 0.
 //
-// The engine simulates all P parties in one process. It faithfully
-// performs the share arithmetic (so outputs are bit-exact with the
-// plaintext computation) and meters the communication: every resharing
-// or opening advances a round counter, and simulated network time is
-// rounds × Latency, matching the paper's experimental setup of a fixed
-// 0.1 s message-passing cost.
+// Engines run compiled plans only: package circuit records a protocol
+// and lowers it to a Program, and an Evaluator executes it step by
+// step — input round, each level's linear closure and batched
+// resharing, opening round — through one party-local kernel. Two
+// engines implement Evaluator. Engine simulates all P parties in one
+// process and meters the communication it would send; ActorEngine runs
+// one goroutine per party over a transport and measures real traffic.
+// Both perform the share arithmetic faithfully, so outputs are
+// bit-exact with the plaintext computation, and simulated network time
+// is rounds × Latency, matching the paper's experimental setup of a
+// fixed 0.1 s message-passing cost.
 package bgw
 
 import (
@@ -44,11 +49,13 @@ type Config struct {
 	// 0 keeps receives blocking (the trusted-simulation default).
 	RecvTimeout time.Duration
 	// Workers bounds the worker pool that parallelizes the local share
-	// arithmetic of batched rounds (MulBatch, DotBatch, reshare folds).
-	// 0 means runtime.NumCPU(); 1 forces the serial path; explicit
-	// values are honored as given so a pinned pool size chunks — and
-	// draws randomness — identically on every machine. Worker count
-	// never changes opened outputs (see WorkerTunable).
+	// arithmetic of each multiplicative level (gate products and, on
+	// the monolithic engine, the reshare folds). 0 means
+	// runtime.NumCPU(); 1 forces the serial path; explicit values are
+	// honored as given so a pinned pool size chunks — and draws
+	// randomness — identically on every machine. Worker count never
+	// changes opened outputs: BGW computes exactly, so reconstructed
+	// secrets never depend on the resharing randomness.
 	Workers int
 }
 
@@ -78,15 +85,13 @@ type Engine struct {
 	rngs    []*randx.RNG // party i's private randomness
 	weights []field.Elem // Lagrange weights at 0 for points 1..P
 	stats   Stats
-	workers int      // configured pool bound; see SetWorkers
-	scratch elemSlab // recycled P-width accumulators for batched rounds
-	run     arena    // plan-execution share arena (Runner)
+	workers int   // Config.Workers
+	run     arena // plan-execution share arena
 
-	rec          obs.Recorder // nil when telemetry is disabled
-	roundHist    *obs.Histogram
-	opsGauge     *obs.Gauge
-	workersGauge *obs.Gauge
-	lastRound    time.Time
+	rec       obs.Recorder // nil when telemetry is disabled
+	roundHist *obs.Histogram
+	opsGauge  *obs.Gauge
+	lastRound time.Time
 }
 
 // NewEngine validates the configuration and prepares an engine.
@@ -105,15 +110,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if lat == 0 {
 		lat = DefaultLatency
 	}
-	e := &Engine{p: cfg.Parties, t: t, latency: lat, workers: cfg.Workers,
-		scratch: elemSlab{width: cfg.Parties}}
+	e := &Engine{p: cfg.Parties, t: t, latency: lat, workers: cfg.Workers}
 	if rec := cfg.Recorder; rec != nil && rec.Metrics() != nil {
 		e.rec = rec
 		e.roundHist = rec.Metrics().Histogram("bgw.round.seconds")
 		e.opsGauge = rec.Metrics().Gauge("bgw.fieldops")
-		e.workersGauge = rec.Metrics().Gauge("bgw.workers")
-		e.workersGauge.Set(float64(effectiveWorkers(e.workers)))
-		e.scratch.counter = rec.Metrics().Counter("bgw.pool.reused")
+		rec.Metrics().Gauge("bgw.workers").Set(float64(effectiveWorkers(e.workers)))
 		e.lastRound = time.Now()
 	}
 	root := randx.New(cfg.Seed)
@@ -135,18 +137,6 @@ func (e *Engine) Latency() time.Duration { return e.latency }
 
 // Stats returns a snapshot of the execution counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// SetWorkers implements WorkerTunable: it bounds the pool that
-// parallelizes batched share arithmetic and returns the effective
-// bound. Opened outputs are identical for every setting.
-func (e *Engine) SetWorkers(n int) int {
-	e.workers = n
-	eff := effectiveWorkers(n)
-	if e.workersGauge != nil {
-		e.workersGauge.Set(float64(eff))
-	}
-	return eff
-}
 
 // ResetStats zeroes the counters (between experiment phases).
 func (e *Engine) ResetStats() { e.stats = Stats{} }
@@ -184,35 +174,6 @@ type Shared struct {
 	shares []field.Elem
 }
 
-// Input has party owner secret-share the signed value v. The messages
-// (one share to each other party) are metered; callers batch all inputs
-// of a phase into one round via AdvanceRound.
-func (e *Engine) Input(owner int, v int64) *Shared {
-	e.checkParty(owner)
-	sh := shamir.Share(field.FromInt64(v), e.t, e.p, e.rngs[owner])
-	e.meterInput(1)
-	return &Shared{eng: e, shares: sh}
-}
-
-// InputElem has party owner secret-share a raw field element. Used by
-// preprocessing protocols (e.g. Beaver-triple generation) whose values
-// are uniform field elements rather than signed integers.
-func (e *Engine) InputElem(owner int, v field.Elem) *Shared {
-	e.checkParty(owner)
-	sh := shamir.Share(v, e.t, e.p, e.rngs[owner])
-	e.meterInput(1)
-	return &Shared{eng: e, shares: sh}
-}
-
-// OpenElem reveals the raw field element (no signed decoding).
-func (e *Engine) OpenElem(s *Shared) field.Elem {
-	if s.eng != e {
-		panic(invariant.Violation("bgw: foreign share"))
-	}
-	e.meterOpen(1)
-	return shamir.ReconstructWithWeights(e.weights, s.shares)
-}
-
 // AdditiveShares converts the Shamir sharing to an additive sharing
 // locally: with Lagrange weights λ, party i's addend is λ_i·s_i and
 // Σ_i λ_i·s_i equals the secret. No communication.
@@ -225,139 +186,31 @@ func (s *Shared) AdditiveShares(weights []field.Elem) []field.Elem {
 	return out
 }
 
-// Zero returns a trivial sharing of 0 (all shares zero); no
-// communication.
-func (e *Engine) Zero() *Shared {
-	return &Shared{eng: e, shares: make([]field.Elem, e.p)}
-}
-
-// Add returns a sharing of a + b; purely local.
-func (e *Engine) Add(a, b *Shared) *Shared {
-	e.checkSame(a, b)
-	out := make([]field.Elem, e.p)
-	field.AddVec(out, a.shares, b.shares)
-	return &Shared{eng: e, shares: out}
-}
-
-// Sub returns a sharing of a − b; purely local.
-func (e *Engine) Sub(a, b *Shared) *Shared {
-	e.checkSame(a, b)
-	out := make([]field.Elem, e.p)
-	field.SubVec(out, a.shares, b.shares)
-	return &Shared{eng: e, shares: out}
-}
-
-// AddConst returns a sharing of a + c; purely local (the constant
-// polynomial c added to every share).
-func (e *Engine) AddConst(a *Shared, c int64) *Shared {
-	ce := field.FromInt64(c)
-	out := make([]field.Elem, e.p)
-	field.AddConstVec(out, a.shares, ce)
-	return &Shared{eng: e, shares: out}
-}
-
-// MulConst returns a sharing of c·a; purely local.
-func (e *Engine) MulConst(a *Shared, c int64) *Shared {
-	ce := field.FromInt64(c)
-	out := make([]field.Elem, e.p)
-	field.MulConstVec(out, a.shares, ce)
-	e.stats.FieldOps += int64(e.p)
-	return &Shared{eng: e, shares: out}
-}
-
-// Mul returns a sharing of a·b using the degree-reduction resharing of
-// BGW. It meters P(P−1) messages; batch independent multiplications
-// into one round with AdvanceRound.
-func (e *Engine) Mul(a, b *Shared) *Shared {
-	e.checkSame(a, b)
-	prods := make([]field.Elem, e.p)
-	field.MulVec(prods, a.shares, b.shares)
-	e.stats.FieldOps += int64(e.p)
-	return e.reshare(prods)
-}
-
-// reshare converts a degree-2t sharing (the per-party values in high)
-// back to a fresh degree-t sharing of the same secret: each party i
-// re-shares its value high[i] and the parties linearly combine the
-// sub-shares with the Lagrange weights.
-func (e *Engine) reshare(high []field.Elem) *Shared {
-	return e.reshareBatch([][]field.Elem{high})[0]
-}
-
-// reshareBatch runs one degree-reduction round for a batch of degree-2t
-// values (highs[m][i] is party i's value of batch item m): every party
-// re-shares all of its values and sends each peer a single frame
-// carrying all sub-shares, so a level of independent multiplications
-// costs one frame per ordered party pair regardless of batch size.
-//
-// With one worker, each party consumes its private stream value-major
-// (item 0, 1, …), matching both the eager per-gate order and the actor
-// parties. With more, the batch splits into contiguous item chunks and
-// each chunk reshares with per-chunk forks of the party streams, taken
-// serially in chunk order so the randomness is deterministic for a
-// fixed worker count. The two disciplines draw different sub-share
-// polynomials, but BGW computes exactly — the reconstructed secrets
-// cancel the resharing randomness — so opened outputs are bit-identical
-// either way.
-func (e *Engine) reshareBatch(highs [][]field.Elem) []*Shared {
-	n := len(highs)
-	outs := make([]*Shared, n)
-	for m := range outs {
-		outs[m] = &Shared{eng: e, shares: make([]field.Elem, e.p)}
+// AdditiveShares implements Evaluator for a handle this engine issued
+// (see Keep).
+func (e *Engine) AdditiveShares(s Val, weights []field.Elem) []field.Elem {
+	sh, ok := s.(*Shared)
+	if !ok || sh.eng != e {
+		panic(invariant.Violation("bgw: share from a different engine"))
 	}
-	if w := clampWorkers(e.workers, n); w <= 1 {
-		for i := 0; i < e.p; i++ {
-			wi := e.weights[i]
-			for m := range highs {
-				sub := shamir.Share(highs[m][i], e.t, e.p, e.rngs[i])
-				field.MulAddVec(outs[m].shares, sub, wi)
-			}
-		}
-	} else {
-		chunkRngs := e.forkChunks(w)
-		parallelChunks(n, w, func(chunk, start, end int) {
-			rngs := chunkRngs[chunk]
-			for i := 0; i < e.p; i++ {
-				wi := e.weights[i]
-				for m := start; m < end; m++ {
-					sub := shamir.Share(highs[m][i], e.t, e.p, rngs[i])
-					field.MulAddVec(outs[m].shares, sub, wi)
-				}
-			}
-		})
-	}
-	e.meterReshare(int64(n))
-	return outs
+	return sh.AdditiveShares(weights)
 }
 
-// InnerProduct returns a sharing of Σ_k a[k]·b[k] using the fused gate:
-// each party sums its local share products and a single resharing
-// restores degree t. This is the optimization that makes Gram matrices
-// and gradient sums communication-cheap (one resharing per output
-// instead of per product).
-func (e *Engine) InnerProduct(as, bs []*Shared) *Shared {
-	if len(as) != len(bs) {
-		panic(invariant.Violation("bgw: InnerProduct length mismatch"))
-	}
-	acc := make([]field.Elem, e.p)
-	for k := range as {
-		e.checkSame(as[k], bs[k])
-		field.MulAccVec(acc, as[k].shares, bs[k].shares)
-	}
-	e.stats.FieldOps += int64(e.p * len(as))
-	return e.reshare(acc)
+// SharedVec is a vector of secret-shared values stored party-major:
+// shares[i][k] is party i's share of element k.
+type SharedVec struct {
+	eng    *Engine
+	shares [][]field.Elem // [party][element]
 }
 
-// Open reveals the secret to all parties (shares exchanged pairwise)
-// and returns its signed decoding. Batch independent openings into one
-// round with AdvanceRound.
-func (e *Engine) Open(s *Shared) int64 {
-	if s.eng != e {
-		panic(invariant.Violation("bgw: foreign share"))
-	}
-	e.meterOpen(1)
-	return field.ToInt64(shamir.ReconstructWithWeights(e.weights, s.shares))
-}
+// Len returns the number of shared elements.
+func (v *SharedVec) Len() int { return len(v.shares[0]) }
+
+// Err always reports healthy: the simulated parties cannot fail.
+func (e *Engine) Err() error { return nil }
+
+// Close is a no-op: the engine holds no goroutines or sockets.
+func (e *Engine) Close() error { return nil }
 
 // forkChunks forks every party stream once per chunk of a parallel
 // batch, serially in chunk order, so the randomness each chunk draws is
@@ -399,19 +252,4 @@ func (e *Engine) meterOpen(n int64) {
 	e.stats.Messages += n * pp
 	e.stats.Bytes += 8 * n * pp
 	e.stats.FieldOps += int64(e.p) * n
-}
-
-func (e *Engine) checkParty(i int) {
-	if i < 0 || i >= e.p {
-		panic(invariant.Violation("bgw: party %d out of range [0,%d)", i, e.p))
-	}
-}
-
-func (e *Engine) checkSame(a, b *Shared) {
-	if a.eng != e || b.eng != e {
-		panic(invariant.Violation("bgw: share from a different engine"))
-	}
-	if len(a.shares) != e.p || len(b.shares) != e.p {
-		panic(invariant.Violation("bgw: malformed share vector"))
-	}
 }

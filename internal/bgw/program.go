@@ -21,7 +21,7 @@ import (
 type Op uint8
 
 const (
-	// Local (linear) instructions; run by RunLocal.
+	// Local (linear) instructions; run by Evaluator.RunLocal.
 	OpZero     Op = iota // s[Dst] = 0
 	OpAdd                // s[Dst] = s[A] + s[B]
 	OpSub                // s[Dst] = s[A] − s[B]
@@ -84,40 +84,16 @@ type Program struct {
 	Opens  Span
 }
 
-// Binding supplies one execution's parameters to Runner.Begin, each
-// slice indexed by declaration order. ExtVecs must be handles of the
-// engine the program runs on (a foreign handle is an invariant
-// violation, as for the gate surface).
+// Binding supplies one execution's parameters to Evaluator.Begin, each
+// slice indexed by declaration order. ExtVecs must be KeepVec handles
+// of the engine the program runs on (a foreign handle is an invariant
+// violation).
 type Binding struct {
 	Consts    []int64
 	Inputs    []int64
 	InputVecs [][]int64
 	ExtVecs   []Vec
 	Indices   []int
-}
-
-// Runner is the plan-execution surface of both BGW engines. An
-// execution is Begin, then ShareInputs when the program has inputs,
-// RunLocal(0), then RunMul(L) and RunLocal(L) for every level L >= 1,
-// then RunOpen when it has outputs; the caller accounts the rounds.
-// Every step is one call into the party-local kernel per party (and,
-// for the actor engine, one broadcast), so the cost of driving a plan
-// grows with its depth, not its node count.
-//
-// Shares live in one arena per engine session, sized to the widest
-// program seen and recycled by every Begin. Keep and KeepVec copy a
-// value of the current execution out into an ordinary engine handle
-// that outlives the arena; Epoch counts Begins so a caller can tell
-// that its execution's arena has been recycled.
-type Runner interface {
-	Begin(prog *Program, bind Binding)
-	ShareInputs()
-	RunLocal(level int)
-	RunMul(level int)
-	RunOpen() (opened []int64, openedVecs [][]int64)
-	Keep(slot int32) Val
-	KeepVec(ref int32, n int) Vec
-	Epoch() uint64
 }
 
 // ErrNonCanonical reports a peer payload carrying a field element

@@ -1,60 +1,65 @@
-package bgw
+package bgw_test
 
 import (
 	"runtime"
 	"testing"
 	"time"
 
+	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/transport"
 )
 
-// bigBatchOpens runs one large mixed MulBatch plus a DotBatch on the
-// monolithic engine with the given pool bound and opens everything —
-// wide enough that every worker owns several gates, so the chunked
+// bigBatchOpens runs one wide level of mixed gates (products, fused
+// scalar inner products, vector dots) plus a second level of dots on
+// the monolithic engine with the given pool bound and opens everything
+// — wide enough that every worker owns several gates, so the chunked
 // reshare path is actually exercised (and raced) when workers > 1.
 func bigBatchOpens(t *testing.T, workers int) []int64 {
 	t.Helper()
-	eng, err := NewEngine(Config{Parties: 4, Seed: 99, Workers: workers})
+	eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 99, Workers: workers})
 	if err != nil {
 		t.Fatalf("NewEngine(workers=%d): %v", workers, err)
 	}
-	ev := Eval(eng)
-
-	var scalars []Val
+	b := circuit.NewBuilder(4, 0)
+	var scalars []bgw.Val
 	for i := 0; i < 8; i++ {
-		scalars = append(scalars, ev.Input(i%4, int64(i*i)-31))
+		scalars = append(scalars, b.Input(i%4, int64(i*i)-31))
 	}
-	u := ev.InputVec(0, []int64{3, -1, 4, 1, -5, 9, 2, -6})
-	v := ev.InputVec(1, []int64{-2, 7, 1, -8, 2, 8, -1, 8})
-	ev.AdvanceRound()
+	u := b.InputVec(0, []int64{3, -1, 4, 1, -5, 9, 2, -6})
+	v := b.InputVec(1, []int64{-2, 7, 1, -8, 2, 8, -1, 8})
 
-	var items []MulItem
+	var gates []bgw.Val
 	for i := 0; i < 64; i++ {
 		switch i % 3 {
 		case 0:
-			items = append(items, MulItem{Kind: MulScalar, A: scalars[i%8], B: scalars[(i+3)%8]})
+			gates = append(gates, b.Mul(scalars[i%8], scalars[(i+3)%8]))
 		case 1:
-			items = append(items, MulItem{Kind: MulInner,
-				As: []Val{scalars[i%8], scalars[(i+1)%8], scalars[(i+2)%8]},
-				Bs: []Val{scalars[(i+5)%8], scalars[(i+6)%8], scalars[(i+7)%8]}})
+			gates = append(gates, b.InnerProduct(
+				[]bgw.Val{scalars[i%8], scalars[(i+1)%8], scalars[(i+2)%8]},
+				[]bgw.Val{scalars[(i+5)%8], scalars[(i+6)%8], scalars[(i+7)%8]}))
 		case 2:
-			items = append(items, MulItem{Kind: MulDot, VA: u, VB: v})
+			gates = append(gates, b.Dot(u, v))
 		}
 	}
-	outs := ev.MulBatch(items)
-	ev.AdvanceRound()
-	dots := ev.DotBatch([]VecPair{{A: u, B: v}, {A: u, B: u}, {A: v, B: v}}, workers)
-	ev.AdvanceRound()
-
-	res := ev.OpenBatch(outs)
-	for _, d := range dots {
-		res = append(res, ev.Open(d))
+	w := b.FromScalars(gates[:8])
+	gates = append(gates, b.Dot(w, u), b.Dot(w, w), b.Dot(v, w))
+	for _, g := range gates {
+		b.OpenIdx(g)
 	}
-	return res
+	plan := b.MustCompile()
+	if plan.Depth() != 2 {
+		t.Fatalf("depth = %d, want 2", plan.Depth())
+	}
+	res, err := plan.Execute(eng, circuit.Bindings{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opened(res, plan.Opens())
 }
 
 // TestMonoWorkerPoolDifferentialRace: the monolithic engine's batched
-// rounds must open bit-identical values for every pool size. Workers=8
+// levels must open bit-identical values for every pool size. Workers=8
 // forces the chunked parallel path even on a single-CPU machine, so
 // -race sweeps the goroutine interleavings while the differential pins
 // the outputs to the serial baseline.
@@ -80,17 +85,17 @@ func TestMonoWorkerPoolDifferentialRace(t *testing.T) {
 // concurrent with the party goroutines, so -race catches any pooled
 // buffer recycled while still in flight.
 func TestActorWorkerPoolChaosRace(t *testing.T) {
-	mono, err := NewEngine(Config{Parties: 4, Seed: 123})
+	mono, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 123})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	want := evalProgram(t, Eval(mono))
+	want := evalProgram(t, mono)
 
 	mesh := transport.NewFaultMesh(transport.NewChanMesh(4), transport.FaultProfile{
 		Seed: 5,
 		All:  transport.LinkFault{Delay: 50 * time.Microsecond},
 	})
-	eng, err := NewActorEngine(Config{Parties: 4, Seed: 123, Workers: 8}, mesh)
+	eng, err := bgw.NewActorEngine(bgw.Config{Parties: 4, Seed: 123, Workers: 8}, mesh)
 	if err != nil {
 		t.Fatalf("NewActorEngine: %v", err)
 	}
@@ -122,7 +127,7 @@ func TestActorCloseNoGoroutineLeak(t *testing.T) {
 			Seed: uint64(iter),
 			All:  transport.LinkFault{Delay: 20 * time.Microsecond},
 		})
-		eng, err := NewActorEngine(Config{Parties: 4, Seed: uint64(iter), Workers: 4}, mesh)
+		eng, err := bgw.NewActorEngine(bgw.Config{Parties: 4, Seed: uint64(iter), Workers: 4}, mesh)
 		if err != nil {
 			t.Fatalf("NewActorEngine: %v", err)
 		}

@@ -24,7 +24,7 @@ type arena struct {
 	shares []field.Elem   // one value's P shares, gathered for opening
 }
 
-// Begin implements Runner: it sizes the arena for prog and binds one
+// Begin implements Evaluator: it sizes the arena for prog and binds one
 // execution's parameters.
 func (e *Engine) Begin(prog *Program, bind Binding) {
 	r := &e.run
@@ -61,10 +61,10 @@ func (e *Engine) Begin(prog *Program, bind Binding) {
 	}
 }
 
-// Epoch implements Runner.
+// Epoch implements Evaluator.
 func (e *Engine) Epoch() uint64 { return e.run.epoch }
 
-// ShareInputs implements Runner: every input is Shamir-shared from its
+// ShareInputs implements Evaluator: every input is Shamir-shared from its
 // owner's stream, in program order, straight into the arena.
 func (e *Engine) ShareInputs() {
 	r := &e.run
@@ -81,7 +81,7 @@ func (e *Engine) ShareInputs() {
 	}
 }
 
-// RunLocal implements Runner: the level's linear closure, one kernel
+// RunLocal implements Evaluator: the level's linear closure, one kernel
 // call per party column.
 func (e *Engine) RunLocal(level int) {
 	r := &e.run
@@ -93,11 +93,16 @@ func (e *Engine) RunLocal(level int) {
 	e.stats.FieldOps += int64(e.p) * lv.LocalOps
 }
 
-// RunMul implements Runner: every party computes the level's degree-2t
+// RunMul implements Evaluator: every party computes the level's degree-2t
 // products, then one batched resharing round restores degree t into
-// the gates' slots. The resharing randomness follows reshareBatch:
-// value-major per party stream with one worker, per-chunk forks taken
-// serially in chunk order with more.
+// the gates' slots. With one worker each party draws its sub-share
+// polynomials from its own stream value-major (gate 0, 1, …), like the
+// actor parties. With more, the gates split into contiguous chunks and
+// each chunk reshares from per-chunk forks of the party streams, taken
+// serially in chunk order, so the randomness is fixed by the worker
+// count. The two disciplines draw different polynomials, but the
+// reconstructed secrets cancel the resharing randomness, so opened
+// outputs are bit-identical either way.
 func (e *Engine) RunMul(level int) {
 	r := &e.run
 	lv := &r.prog.Levels[level]
@@ -149,7 +154,7 @@ func (e *Engine) reshareInto(code []Instr, lo, hi int, rngs []*randx.RNG, sub []
 	}
 }
 
-// RunOpen implements Runner: all scalar outputs open as one batch, each
+// RunOpen implements Evaluator: all scalar outputs open as one batch, each
 // vector output as its own batch, in program order.
 func (e *Engine) RunOpen() ([]int64, [][]int64) {
 	r := &e.run
@@ -191,7 +196,7 @@ func openScalars(code []Instr) int {
 	return n
 }
 
-// Keep implements Runner: the shares in slot, copied out of the arena.
+// Keep implements Evaluator: the shares in slot, copied out of the arena.
 func (e *Engine) Keep(slot int32) Val {
 	out := &Shared{eng: e, shares: make([]field.Elem, e.p)}
 	for i, col := range e.run.cols {
@@ -200,13 +205,13 @@ func (e *Engine) Keep(slot int32) Val {
 	return out
 }
 
-// KeepVec implements Runner: the n-element vector at ref, copied out
+// KeepVec implements Evaluator: the n-element vector at ref, copied out
 // of the arena (or out of the bound external vector).
 func (e *Engine) KeepVec(ref int32, n int) Vec {
 	r := &e.run
-	out := e.zeroVec(n)
+	out := &SharedVec{eng: e, shares: make([][]field.Elem, e.p)}
 	for i := range r.ks {
-		copy(out.shares[i], r.ks[i].vec(ref, int32(n)))
+		out.shares[i] = append([]field.Elem(nil), r.ks[i].vec(ref, int32(n))...)
 	}
 	return out
 }

@@ -1,10 +1,12 @@
-package bgw
+package bgw_test
 
 import (
 	"errors"
 	"testing"
 	"time"
 
+	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/transport"
 )
 
@@ -19,7 +21,7 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 		Seed:  1,
 		Links: map[[2]int]transport.LinkFault{{0, 1}: {DropProb: 1}},
 	})
-	eng, err := NewActorEngine(Config{
+	eng, err := bgw.NewActorEngine(bgw.Config{
 		Parties:     3,
 		Latency:     time.Nanosecond,
 		Seed:        7,
@@ -30,10 +32,19 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 	}
 	defer eng.Close()
 
-	done := make(chan int64, 1)
-	go func() { done <- eng.Open(eng.Input(0, 42)) }()
+	b := circuit.NewBuilder(3, 0)
+	b.OpenIdx(b.Input(0, 42))
+	plan := b.MustCompile()
+	done := make(chan error, 1)
+	go func() {
+		_, err := plan.Execute(eng, circuit.Bindings{})
+		done <- err
+	}()
 	select {
-	case <-done:
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("protocol hung despite RecvTimeout")
 	}
@@ -46,7 +57,7 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 // healthy mesh changes nothing.
 func TestActorRecvTimeoutHarmlessWhenHealthy(t *testing.T) {
 	mesh := transport.NewChanMesh(3)
-	eng, err := NewActorEngine(Config{
+	eng, err := bgw.NewActorEngine(bgw.Config{
 		Parties:     3,
 		Latency:     time.Nanosecond,
 		Seed:        7,
@@ -56,7 +67,11 @@ func TestActorRecvTimeoutHarmlessWhenHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if got := eng.Open(eng.Mul(eng.Input(0, 6), eng.Input(1, 7))); got != 42 {
+	res, err := mulPlan(3, 6, 7).Execute(eng, circuit.Bindings{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Opened(0); got != 42 {
 		t.Fatalf("Open = %d, want 42", got)
 	}
 	if err := eng.Err(); err != nil {

@@ -5,25 +5,7 @@ import (
 	"sync"
 
 	"sqm/internal/field"
-	"sqm/internal/obs"
 )
-
-// WorkerTunable is the optional engine surface for tuning the bounded
-// worker pool that parallelizes the local share arithmetic of batched
-// rounds (MulBatch, DotBatch, reshare folds). Both BGW engines
-// implement it; the circuit executor uses it to apply
-// ExecOptions.Workers. Worker count only affects wall-clock and —
-// through per-chunk resharing randomness — the private share values;
-// opened outputs are bit-identical for every setting because BGW
-// computes exactly and reconstructed secrets never depend on the
-// resharing randomness.
-type WorkerTunable interface {
-	// SetWorkers bounds the per-level worker pool: n <= 0 restores the
-	// default (runtime.NumCPU()); explicit positive values are honored
-	// as given, so tests can pin the chunked work discipline on any
-	// machine. Returns the effective bound.
-	SetWorkers(n int) int
-}
 
 // effectiveWorkers resolves a configured pool bound: n <= 0 means
 // runtime.NumCPU() (the NumCPU-capped default); explicit positive
@@ -79,42 +61,9 @@ func parallelChunks(n, workers int, fn func(chunk, start, end int)) {
 	wg.Wait()
 }
 
-// elemSlab recycles fixed-width []field.Elem scratch slices within one
-// engine session — the share-slab pool that keeps batched rounds from
-// allocating a fresh accumulator per gate. It is intentionally not
-// synchronized: each engine (and each actor party) owns its own slab
-// and touches it only from its driving goroutine. Slices handed out by
-// get are zeroed; put recycles a slice whose contents are dead.
-type elemSlab struct {
-	width   int
-	free    [][]field.Elem
-	reused  int64        // pooled allocations avoided
-	counter *obs.Counter // pooled-alloc telemetry; nil disables
-}
-
-func (s *elemSlab) get() []field.Elem {
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.reused++
-		if s.counter != nil {
-			s.counter.Add(1)
-		}
-		clear(b)
-		return b
-	}
-	return make([]field.Elem, s.width)
-}
-
-func (s *elemSlab) put(b []field.Elem) {
-	if len(b) == s.width {
-		s.free = append(s.free, b)
-	}
-}
-
-// grow returns scratch resized to at least n elements, reusing the
-// backing array when it already fits — the single-buffer variant of the
-// slab for per-call scratch whose size tracks the batch shape.
+// growElems returns scratch resized to n elements, reusing the backing
+// array when it already fits, for scratch whose size tracks the
+// program or batch shape.
 func growElems(scratch []field.Elem, n int) []field.Elem {
 	if cap(scratch) >= n {
 		return scratch[:n]

@@ -1,13 +1,14 @@
 // Package circuit compiles SQM protocols to level-scheduled execution
-// plans. A recording Builder implements the bgw.Evaluator gate surface
-// but captures every operation into a DAG IR instead of executing it;
-// Compile levels the DAG by multiplicative depth and lowers it to a
-// bgw.Program; the resulting Plan executes on either BGW engine
-// (bgw.Runner), running each level as ONE batched communication round —
-// all of a level's degree reductions travel in a single reshare
-// exchange (one frame per ordered party pair), and the round count
-// derives from the plan's structure instead of hand-placed AdvanceRound
-// calls.
+// plans. A Builder records a protocol's gates — inputs, local linear
+// operations, multiplications, fused inner products and output gates —
+// into a DAG IR; Compile levels the DAG by multiplicative depth and
+// lowers it to a bgw.Program; the resulting Plan executes on either BGW
+// engine (bgw.Evaluator), running each level as ONE batched
+// communication round — all of a level's degree reductions travel in a
+// single reshare exchange (one frame per ordered party pair), and the
+// round count derives from the plan's structure instead of hand-placed
+// AdvanceRound calls. Recording and compiling are the only way to run
+// BGW: the engines expose no per-gate operations.
 //
 // Protocols build their plan once and re-execute it per epoch or batch
 // with fresh bindings: public constants (ConstParam), per-run secret
@@ -21,12 +22,9 @@
 package circuit
 
 import (
-	"time"
-
 	"sqm/internal/bgw"
 	"sqm/internal/field"
 	"sqm/internal/invariant"
-	"sqm/internal/obs"
 )
 
 // nodeKind enumerates the IR node types.
@@ -92,8 +90,8 @@ type node struct {
 	a, b, n int32
 }
 
-// Val is a handle to one recorded scalar node; it is passed around as a
-// bgw.Val so recorded protocols run unchanged against the Builder.
+// Val is a handle to one recorded scalar node. It is passed around as a
+// bgw.Val, the type Result.ValOf maps it to an engine handle of.
 type Val struct {
 	b  *Builder
 	id int
@@ -116,16 +114,13 @@ type ConstID int
 type IndexID int
 
 // Builder records the gate stream of one protocol run into a DAG. It
-// implements bgw.Evaluator, so protocol code written against the
-// engines records unchanged; operations that would reveal values (Open,
-// OpenVec) record an output gate and return zeros — real values come
-// from Result.Opened after execution.
+// never sees a value: OpenIdx and OpenVecIdx record output gates whose
+// values come from Result.Opened and Result.OpenedVec after execution.
 type Builder struct {
 	p, t  int
 	nodes []node
 	args  []int32      // operand lists of kInner and kFromScalars
 	lits  []field.Elem // literal inputs and constants, already in the field
-	rec   obs.Recorder // optional; surfaced through Recorder()
 
 	nConsts   int
 	inVecLens []int32 // length of each input-vec param
@@ -259,8 +254,7 @@ func (b *Builder) MulConstP(a bgw.Val, c ConstID) bgw.Val {
 }
 
 // OpenIdx records an output gate for v and returns its index into
-// Result.Opened. This is the recording counterpart of Open for callers
-// that need the value after execution.
+// Result.Opened.
 func (b *Builder) OpenIdx(v bgw.Val) int {
 	b.add(node{kind: kOpen, a: b.val(v)})
 	b.nOpens++
@@ -276,43 +270,7 @@ func (b *Builder) OpenVecIdx(v bgw.Vec) int {
 	return b.nOpenVecs - 1
 }
 
-// ---- bgw.Evaluator surface (recording) ----
-
-// Parties returns P.
-func (b *Builder) Parties() int { return b.p }
-
-// Threshold returns t.
-func (b *Builder) Threshold() int { return b.t }
-
-// Latency returns 0: the Builder never communicates.
-func (b *Builder) Latency() time.Duration { return 0 }
-
-// Stats returns zeros: recording costs nothing.
-func (b *Builder) Stats() bgw.Stats { return bgw.Stats{} }
-
-// ResetStats is a no-op.
-func (b *Builder) ResetStats() {}
-
-// AdvanceRound is a no-op: rounds derive from the compiled plan's
-// levels, not from caller bookkeeping.
-func (b *Builder) AdvanceRound() {}
-
-// SetRecorder attaches a telemetry recorder to the Builder (and to the
-// plans it compiles, through the recorded Evaluator surface). Returns
-// the Builder for construction chaining.
-func (b *Builder) SetRecorder(rec obs.Recorder) *Builder {
-	b.rec = rec
-	return b
-}
-
-// Recorder returns the attached recorder, or the no-op sink.
-func (b *Builder) Recorder() obs.Recorder { return obs.Or(b.rec) }
-
-// Err always reports healthy.
-func (b *Builder) Err() error { return nil }
-
-// Close is a no-op.
-func (b *Builder) Close() error { return nil }
+// ---- gates ----
 
 // Input records a literal secret input.
 func (b *Builder) Input(owner int, v int64) bgw.Val {
@@ -378,21 +336,6 @@ func (b *Builder) InnerProduct(as, bs []bgw.Val) bgw.Val {
 	return b.scalar(node{kind: kInner, b: off, n: int32(len(as))})
 }
 
-// AdditiveShares cannot be recorded — the conversion reveals engine
-// share state the Builder does not have. It returns zero addends; run
-// the compiled plan and use Result.ValOf with the real engine instead.
-func (b *Builder) AdditiveShares(s bgw.Val, weights []field.Elem) []field.Elem {
-	b.val(s)
-	return make([]field.Elem, b.p)
-}
-
-// Open records an output gate and returns 0 — recorded circuits never
-// see real values. Use OpenIdx to keep the index into Result.Opened.
-func (b *Builder) Open(s bgw.Val) int64 {
-	b.OpenIdx(s)
-	return 0
-}
-
 // At records the element extraction v[k].
 func (b *Builder) At(v bgw.Vec, k int) bgw.Val {
 	cv := b.vec(v)
@@ -420,50 +363,6 @@ func (b *Builder) Dot(a, c bgw.Vec) bgw.Val {
 	return b.scalar(node{kind: kDot, a: int32(ca.id), b: int32(cc.id), n: int32(ca.n)})
 }
 
-// DotBatch records one Dot gate per pair; the scheduler re-batches all
-// gates of a level anyway, so the grouping hint is not kept.
-func (b *Builder) DotBatch(pairs []bgw.VecPair, workers int) []bgw.Val {
-	_ = workers
-	out := make([]bgw.Val, len(pairs))
-	for i, p := range pairs {
-		out[i] = b.Dot(p.A, p.B)
-	}
-	return out
-}
-
-// MulBatch records the constituent gates individually.
-func (b *Builder) MulBatch(items []bgw.MulItem) []bgw.Val {
-	out := make([]bgw.Val, len(items))
-	for i, it := range items {
-		switch it.Kind {
-		case bgw.MulScalar:
-			out[i] = b.Mul(it.A, it.B)
-		case bgw.MulInner:
-			out[i] = b.InnerProduct(it.As, it.Bs)
-		case bgw.MulDot:
-			out[i] = b.Dot(it.VA, it.VB)
-		default:
-			panic(invariant.Violation("circuit: unknown MulKind %d", it.Kind))
-		}
-	}
-	return out
-}
-
-// OpenBatch records one output gate per value and returns zeros.
-func (b *Builder) OpenBatch(vals []bgw.Val) []int64 {
-	for _, v := range vals {
-		b.OpenIdx(v)
-	}
-	return make([]int64, len(vals))
-}
-
-// OpenVec records a vector output gate and returns zeros. Use
-// OpenVecIdx to keep the index into Result.OpenedVec.
-func (b *Builder) OpenVec(v bgw.Vec) []int64 {
-	b.OpenVecIdx(v)
-	return make([]int64, b.vec(v).n)
-}
-
 // FromScalars records the packing of scalars into a vector.
 func (b *Builder) FromScalars(xs []bgw.Val) bgw.Vec {
 	off := int32(len(b.args))
@@ -472,5 +371,3 @@ func (b *Builder) FromScalars(xs []bgw.Val) bgw.Vec {
 	}
 	return b.vector(node{kind: kFromScalars, b: off, n: int32(len(xs))})
 }
-
-var _ bgw.Evaluator = (*Builder)(nil)

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"sqm/internal/bgw"
+	"sqm/internal/field"
 	"sqm/internal/obs"
+	"sqm/internal/shamir"
 	"sqm/internal/transport"
 )
 
@@ -57,7 +59,7 @@ func TestExecuteMatchesPlainAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := plan.Execute(bgw.Eval(mono), Bindings{})
+	mr, err := plan.Execute(mono, Bindings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +92,14 @@ func TestExecuteMatchesPlainAcrossEngines(t *testing.T) {
 // open round produce spans, observed in the recorder's registry.
 func TestExecuteEmitsLevelSpans(t *testing.T) {
 	rec := obs.NewLog(&bytes.Buffer{}, "json", obs.LevelDebug)
-	b := NewBuilder(4, 0).SetRecorder(rec)
-	if b.Recorder() != obs.Recorder(rec) {
-		t.Fatal("SetRecorder not surfaced through Recorder()")
-	}
+	b := NewBuilder(4, 0)
 	buildPoly(b)
 	plan := b.MustCompile()
 	eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 11, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Execute(bgw.Eval(eng), Bindings{}); err != nil {
+	if _, err := plan.Execute(eng, Bindings{}); err != nil {
 		t.Fatal(err)
 	}
 	m := rec.Metrics()
@@ -128,7 +127,6 @@ func TestParamsRebindAcrossExecutions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := bgw.Eval(eng)
 	for i, tc := range []struct {
 		c, x  int64
 		vs    []int64
@@ -137,7 +135,7 @@ func TestParamsRebindAcrossExecutions(t *testing.T) {
 		{c: 10, x: 2, vs: []int64{1, 2, 3}, wants: 2*14 + 10},
 		{c: -4, x: -3, vs: []int64{0, 5, -1}, wants: -3*26 - 4},
 	} {
-		res, err := plan.Execute(ev, Bindings{Consts: []int64{tc.c}, Inputs: []int64{tc.x}, InputVecs: [][]int64{tc.vs}})
+		res, err := plan.Execute(eng, Bindings{Consts: []int64{tc.c}, Inputs: []int64{tc.x}, InputVecs: [][]int64{tc.vs}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +166,9 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 		for i := range xs {
 			prods[i] = b.Mul(xs[i], xs[(i+1)%n])
 		}
-		b.OpenBatch(prods)
+		for _, v := range prods {
+			b.OpenIdx(v)
+		}
 		return b.MustCompile()
 	}
 	plan := build()
@@ -219,12 +219,11 @@ func TestExtValBridgesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := bgw.Eval(eng)
 
 	setup := NewBuilder(4, 0)
 	colH := setup.InputVec(0, []int64{4, -2, 9})
 	setupPlan := setup.MustCompile()
-	sres, err := setupPlan.Execute(ev, Bindings{})
+	sres, err := setupPlan.Execute(eng, Bindings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +233,7 @@ func TestExtValBridgesPlans(t *testing.T) {
 	extH := b.ExtVec(3)
 	b.OpenIdx(b.Dot(extH, extH))
 	plan := b.MustCompile()
-	res, err := plan.Execute(ev, Bindings{ExtVecs: []bgw.Vec{col}})
+	res, err := plan.Execute(eng, Bindings{ExtVecs: []bgw.Vec{col}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestAtIndexReadsBoundRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer actor.Close()
-	for _, eng := range []bgw.Evaluator{bgw.Eval(mono), actor} {
+	for _, eng := range []bgw.Evaluator{mono, actor} {
 		setup := NewBuilder(4, 0)
 		h := setup.InputVec(2, col)
 		sres, err := setup.MustCompile().Execute(eng, Bindings{})
@@ -305,20 +304,23 @@ func TestValOfAfterRecyclePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := bgw.Eval(eng)
 	b := NewBuilder(4, 0)
 	x := b.Input(0, 6)
 	plan := b.MustCompile()
-	first, err := plan.Execute(ev, Bindings{})
+	first, err := plan.Execute(eng, Bindings{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	kept := first.ValOf(x)
-	if _, err := plan.Execute(ev, Bindings{}); err != nil {
+	if _, err := plan.Execute(eng, Bindings{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.Open(kept); got != 6 {
-		t.Fatalf("kept handle opens %d, want 6", got)
+	var sum field.Elem
+	for _, a := range eng.AdditiveShares(kept, shamir.LagrangeAtZero(shamir.PartyPoints(4))) {
+		sum = field.Add(sum, a)
+	}
+	if got := field.ToInt64(sum); got != 6 {
+		t.Fatalf("kept handle holds %d, want 6", got)
 	}
 	defer func() {
 		if recover() == nil {

@@ -29,7 +29,7 @@ func randomCircuit(b *Builder, rng *rand.Rand) {
 		vecs = append(vecs, b.InputVec(rng.Intn(p), vs))
 	}
 	pick := func() bgw.Val { return vals[rng.Intn(len(vals))] }
-	pickVecPair := func() (bgw.Vec, bgw.Vec) {
+	pickVecs := func() (bgw.Vec, bgw.Vec) {
 		v1 := vecs[rng.Intn(len(vecs))]
 		var cands []bgw.Vec
 		for _, v2 := range vecs {
@@ -62,10 +62,10 @@ func randomCircuit(b *Builder, rng *rand.Rand) {
 			v := vecs[rng.Intn(len(vecs))]
 			vals = append(vals, b.At(v, rng.Intn(v.Len())))
 		case 7:
-			v1, v2 := pickVecPair()
+			v1, v2 := pickVecs()
 			vecs = append(vecs, b.AddVec(v1, v2))
 		case 8:
-			v1, v2 := pickVecPair()
+			v1, v2 := pickVecs()
 			vals = append(vals, b.Dot(v1, v2))
 		case 9:
 			xs := make([]bgw.Val, 1+rng.Intn(3))
@@ -131,7 +131,7 @@ func checkEquivalence(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mres, err := plan.ExecuteOpts(bgw.Eval(mono), Bindings{}, ExecOptions{Workers: w})
+		mres, err := plan.Execute(mono, Bindings{})
 		if err != nil {
 			t.Fatalf("seed %d: %s: %v", seed, name, err)
 		}
@@ -152,7 +152,7 @@ func checkEquivalence(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			defer actor.Close()
-			res, err := plan.ExecuteOpts(actor, Bindings{}, ExecOptions{Workers: w})
+			res, err := plan.Execute(actor, Bindings{})
 			if err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, name, err)
 			}

@@ -16,25 +16,12 @@ import (
 // are.
 type Bindings = bgw.Binding
 
-// ExecOptions tunes one execution.
-type ExecOptions struct {
-	// Workers bounds the worker pool engines use to parallelize each
-	// level's independent gates (applied via bgw.WorkerTunable when the
-	// engine supports it; ignored otherwise). 0 keeps the engine's own
-	// setting; negative forces the engine default (runtime.NumCPU());
-	// explicit positive values are honored as given. Outputs are
-	// bit-identical for every value — the pool only splits
-	// value-independent local arithmetic, and resharing randomness never
-	// reaches opened values.
-	Workers int
-}
-
 // Result holds one execution's opened values in gate record order and
 // a view of the engine arena the execution ran in.
 type Result struct {
 	plan       *Plan
-	run        bgw.Runner // nil for Plain
-	epoch      uint64     // run.Epoch() of this execution
+	eng        bgw.Evaluator // nil for Plain
+	epoch      uint64        // eng.Epoch() of this execution
 	opened     []int64
 	openedVecs [][]int64
 }
@@ -46,8 +33,8 @@ func (r *Result) Opened(k int) int64 { return r.opened[k] }
 func (r *Result) OpenedVec(k int) []int64 { return r.openedVecs[k] }
 
 // ValOf returns an engine handle holding the shares the execution
-// produced for a recorded scalar, for use with the engine's gate
-// surface (e.g. AdditiveShares).
+// produced for a recorded scalar, for use with the engine's
+// AdditiveShares.
 //
 // Lifetime: the shares live in the engine's arena, which the next
 // execution on the same engine recycles, so ValOf and VecOf must be
@@ -60,7 +47,7 @@ func (r *Result) ValOf(h bgw.Val) bgw.Val {
 		panic(invariant.Violation("circuit: ValOf needs a circuit handle"))
 	}
 	r.checkLive()
-	return r.run.Keep(r.plan.slots[v.id])
+	return r.eng.Keep(r.plan.slots[v.id])
 }
 
 // VecOf returns an engine handle for a recorded vector, for use as an
@@ -71,14 +58,14 @@ func (r *Result) VecOf(h bgw.Vec) bgw.Vec {
 		panic(invariant.Violation("circuit: VecOf needs a circuit handle"))
 	}
 	r.checkLive()
-	return r.run.KeepVec(r.plan.slots[v.id], v.n)
+	return r.eng.KeepVec(r.plan.slots[v.id], v.n)
 }
 
 func (r *Result) checkLive() {
-	if r.run == nil {
+	if r.eng == nil {
 		panic(invariant.Violation("circuit: a plain result has no engine shares"))
 	}
-	if r.run.Epoch() != r.epoch {
+	if r.eng.Epoch() != r.epoch {
 		panic(invariant.Violation("circuit: engine arena recycled by a later execution"))
 	}
 }
@@ -124,16 +111,11 @@ func (p *Plan) validate(bind Bindings) error {
 // Execute runs the plan against eng with level batching: all inputs
 // share in one round, each multiplicative level runs as one batched
 // degree-reduction round, and all outputs open in one batched round —
-// Stats.Rounds advances by exactly Plan.Rounds().
-func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
-	return p.ExecuteOpts(eng, bind, ExecOptions{})
-}
-
-// ExecuteOpts runs the plan with explicit options. The engine must
-// implement bgw.Runner (both BGW engines do): the executor calls it
-// once for the input round, once per level for the linear closure,
-// once per multiplicative level and once for the opening round, so
-// driving a plan costs O(depth) calls whatever its node count.
+// Stats.Rounds advances by exactly Plan.Rounds(). The executor calls
+// the engine once for the input round, once per level for the linear
+// closure, once per multiplicative level and once for the opening
+// round, so driving a plan costs O(depth) calls whatever its node
+// count.
 //
 // When the engine's recorder admits debug events, the execution is
 // traced: one "circuit.exec" span for the whole run with one
@@ -141,18 +123,9 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 // "circuit.open" child for the output round, each carrying gate counts
 // and the engine's frame/round deltas. Disabled telemetry skips all of
 // it (the spans are inert and Stats is never read).
-func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (*Result, error) {
+func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
-	}
-	run, ok := eng.(bgw.Runner)
-	if !ok {
-		return nil, fmt.Errorf("circuit: engine %T cannot execute plans", eng)
-	}
-	if opts.Workers != 0 {
-		if wt, ok := eng.(bgw.WorkerTunable); ok {
-			wt.SetWorkers(opts.Workers)
-		}
 	}
 	rec := eng.Recorder()
 	exec := obs.StartTracedSpan(rec, "circuit.exec", 0,
@@ -161,15 +134,15 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 	if exec.Active() {
 		prev = eng.Stats()
 	}
-	run.Begin(&p.prog, bind)
-	r := &Result{plan: p, run: run, epoch: run.Epoch()}
+	eng.Begin(&p.prog, bind)
+	r := &Result{plan: p, eng: eng, epoch: eng.Epoch()}
 	// Level 0: inputs, then the linear closure of the inputs and the
 	// external bindings.
 	if p.inputs > 0 {
-		run.ShareInputs()
+		eng.ShareInputs()
 		eng.AdvanceRound()
 	}
-	run.RunLocal(0)
+	eng.RunLocal(0)
 	// levelDelta closes one child span with the engine's traffic deltas
 	// since the previous close.
 	levelDelta := func(sp obs.TracedSpan) {
@@ -187,15 +160,15 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 		mul := p.prog.Levels[lvl].Mul
 		sp := obs.StartTracedSpan(rec, "circuit.level", exec.ID(),
 			obs.Int("level", lvl), obs.Int("gates", int(mul.Hi-mul.Lo)))
-		run.RunMul(lvl)
+		eng.RunMul(lvl)
 		eng.AdvanceRound()
 		levelDelta(sp)
-		run.RunLocal(lvl)
+		eng.RunLocal(lvl)
 	}
 	if p.hasOpens() {
 		sp := obs.StartTracedSpan(rec, "circuit.open", exec.ID(),
 			obs.Int("opens", p.opens), obs.Int("open_vecs", p.openVecs))
-		r.opened, r.openedVecs = run.RunOpen()
+		r.opened, r.openedVecs = eng.RunOpen()
 		eng.AdvanceRound()
 		levelDelta(sp)
 	}

@@ -185,15 +185,12 @@ func mpcCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, p *Params, pair
 	tr.NoiseCompute += time.Since(noiseStart)
 	tr.NoiseRounds++
 
-	pairList := make([]bgw.VecPair, pairs)
-	idx := 0
+	dots := make([]bgw.Val, 0, pairs)
 	for a := 0; a < n; a++ {
 		for c := a; c < n; c++ {
-			pairList[idx] = bgw.VecPair{A: cols[a], B: cols[c]}
-			idx++
+			dots = append(dots, b.Dot(cols[a], cols[c]))
 		}
 	}
-	dots := b.DotBatch(pairList, 0)
 	outIdx := b.OpenVecIdx(b.AddVec(b.FromScalars(dots), noiseAcc))
 	plan, err := b.Compile()
 	if err != nil {

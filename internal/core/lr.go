@@ -90,7 +90,7 @@ func NewLRProtocol(features *linalg.Matrix, labels []float64, p Params) (*LRProt
 		// The one-time data-sharing phase is its own single-round plan;
 		// the column handles it produces persist inside the engine and
 		// feed every gradient plan through external bindings.
-		sb := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
+		sb := circuit.NewBuilder(p.Parties, p.Threshold)
 		featH := make([]bgw.Vec, lr.d)
 		for j := 0; j < lr.d; j++ {
 			featH[j] = sb.InputVec(p.partyOf(p.clientOf(j, lr.d+1)), lr.feat.Col(j))
@@ -236,7 +236,7 @@ func (lr *LRProtocol) gradientPlan(B int) *lrPlan {
 		return pl
 	}
 	p := lr.p
-	b := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
+	b := circuit.NewBuilder(p.Parties, p.Threshold)
 	wqP := make([]circuit.ConstID, lr.d)
 	for j := range wqP {
 		wqP[j] = b.ConstParam()

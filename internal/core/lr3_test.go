@@ -288,9 +288,8 @@ func TestLR3PlanAllocsIndependentOfBatch(t *testing.T) {
 		for i := range bind.Indices {
 			bind.Indices[i] = (7 * i) % proto.m
 		}
-		opts := circuit.ExecOptions{Workers: 2}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := pl.plan.ExecuteOpts(proto.eng, bind, opts); err != nil {
+			if _, err := pl.plan.Execute(proto.eng, bind); err != nil {
 				t.Fatal(err)
 			}
 		})

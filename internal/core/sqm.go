@@ -208,11 +208,7 @@ func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
 	}
 	switch p.Engine {
 	case EngineBGW:
-		eng, err := bgw.NewEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return bgw.Eval(eng), nil
+		return bgw.NewEngine(cfg)
 	case EngineActorBGW:
 		return bgw.NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties, meshOpts...))
 	case EngineActorBGWNet:

@@ -12,40 +12,29 @@ import (
 // these values must never be rendered into logs, errors, telemetry, or
 // ad-hoc transport payloads.
 var shareTypes = map[string][]string{
-	"sqm/internal/bgw":    {"Shared", "SharedVec", "ActorShared", "ActorVec", "Val", "Vec", "VecPair"},
+	"sqm/internal/bgw":    {"Shared", "SharedVec", "ActorShared", "ActorVec", "Val", "Vec"},
 	"sqm/internal/beaver": {"Triple", "Share"},
 }
 
 // shareFuncSources are functions whose results are share material even
 // though their types are plain field elements or integers: additive
-// reshares and the secagg mask stream.
+// reshares (on the handle and through every engine surface) and the
+// secagg mask stream.
 var shareFuncSources = map[string]bool{
-	"(sqm/internal/bgw.Shared).AdditiveShares": true,
-	"(sqm/internal/secagg.Group).maskStream":   true,
+	"(sqm/internal/bgw.Shared).AdditiveShares":      true,
+	"(sqm/internal/bgw.Evaluator).AdditiveShares":   true,
+	"(sqm/internal/bgw.Engine).AdditiveShares":      true,
+	"(sqm/internal/bgw.ActorEngine).AdditiveShares": true,
+	"(sqm/internal/secagg.Group).maskStream":        true,
 }
 
 // shareSanitizers are the sanctioned open/reconstruct points: their
 // results are public by protocol design (the opened value is the
 // output the parties agreed to reveal), so taint stops there.
 var shareSanitizers = map[string]bool{
-	"(sqm/internal/bgw.Engine).Open":           true,
-	"(sqm/internal/bgw.Engine).OpenElem":       true,
-	"(sqm/internal/bgw.Engine).OpenVec":        true,
-	"(sqm/internal/bgw.ActorEngine).Open":      true,
-	"(sqm/internal/bgw.ActorEngine).OpenBatch": true,
-	"(sqm/internal/bgw.ActorEngine).OpenVec":   true,
-	"(sqm/internal/bgw.Evaluator).Open":        true,
-	"(sqm/internal/bgw.Evaluator).OpenBatch":   true,
-	"(sqm/internal/bgw.Evaluator).OpenVec":     true,
-	"(sqm/internal/bgw.monoEval).Open":         true,
-	"(sqm/internal/bgw.monoEval).OpenBatch":    true,
-	"(sqm/internal/bgw.monoEval).OpenVec":      true,
-	"(sqm/internal/circuit.Builder).Open":      true,
-	"(sqm/internal/circuit.Builder).OpenBatch": true,
-	"(sqm/internal/circuit.Builder).OpenVec":   true,
-	"(sqm/internal/circuit.Result).Opened":     true,
-	"(sqm/internal/circuit.Result).OpenedVec":  true,
-	"(sqm/internal/beaver.Engine).Open":        true,
+	"(sqm/internal/circuit.Result).Opened":    true,
+	"(sqm/internal/circuit.Result).OpenedVec": true,
+	"(sqm/internal/beaver.Engine).Open":       true,
 	// Vec.Len is a shape accessor on the share-vector interface: the
 	// element count is public protocol metadata (it is checked against
 	// the plan and sent in headers), not share material.
@@ -109,7 +98,7 @@ var AnalyzerShareTaint = &Analyzer{
 		Invariant: "A single party's view must stay share-only: no secret share, Beaver triple, secagg mask stream, or value derived from one may reach a formatting, logging, telemetry, or out-of-protocol transport sink, at any call depth. Logs and metrics are aggregation channels the privacy proof does not account for.",
 		Sources: []string{
 			"values of type bgw.Shared, bgw.SharedVec, bgw.ActorShared, bgw.ActorVec, bgw.Val, bgw.Vec, beaver.Triple, beaver.Share (directly or inside containers/structs)",
-			"results of (bgw.Shared).AdditiveShares and (secagg.Group).maskStream",
+			"results of AdditiveShares on bgw.Shared, bgw.Evaluator, bgw.Engine and bgw.ActorEngine, and of (secagg.Group).maskStream",
 		},
 		Sinks: []string{
 			"any call into fmt, log, log/slog, or sqm/internal/obs",
@@ -117,7 +106,7 @@ var AnalyzerShareTaint = &Analyzer{
 			"transport Send/SendN payloads outside bgw, secagg, shamir, transport",
 		},
 		Sanitizers: []string{
-			"sanctioned opens: (bgw.Engine).Open/OpenElem/OpenVec, Evaluator/ActorEngine/circuit.Builder open surfaces, shamir.Reconstruct*, secagg Aggregate*",
+			"sanctioned opens: (circuit.Result).Opened/OpenedVec (the outputs of an executed plan), (beaver.Engine).Open, shamir.Reconstruct*, secagg Aggregate*",
 		},
 		Example: `bgw.go:12:3: sharetaint: secret share material flows to fmt sink [sqm/internal/bgw.Shared param s of describe (fix.go:9) → param v of render (fix.go:14) → sink (fix.go:5)]`,
 	},

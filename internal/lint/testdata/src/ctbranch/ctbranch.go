@@ -6,6 +6,7 @@ package ctbranchfixture
 
 import (
 	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/field"
 )
 
@@ -27,10 +28,15 @@ func Bad(s *bgw.Shared, w []field.Elem, table []string) string {
 	return table[idx] // want "container indexing conditioned on secret-derived value"
 }
 
-// GoodOpened branches on an opened value: Open is a sanctioned
+// GoodOpened branches on an opened value: the result of a plan run over
+// shared columns carries their taint, but Result.Opened is a sanctioned
 // declassification point, so the public output may steer control flow.
-func GoodOpened(e *bgw.Engine, s *bgw.Shared) string {
-	if e.Open(s) > 0 {
+func GoodOpened(plan *circuit.Plan, e bgw.Evaluator, col bgw.Vec) string {
+	res, err := plan.Execute(e, circuit.Bindings{ExtVecs: []bgw.Vec{col}})
+	if err != nil {
+		return "failed"
+	}
+	if res.Opened(0) > 0 {
 		return "positive"
 	}
 	return "non-positive"

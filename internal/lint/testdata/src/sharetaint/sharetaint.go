@@ -12,6 +12,8 @@ import (
 
 	"sqm/internal/beaver"
 	"sqm/internal/bgw"
+	"sqm/internal/circuit"
+	"sqm/internal/field"
 	"sqm/internal/obs"
 )
 
@@ -49,11 +51,22 @@ func BadDeep(s bgw.Shared) {
 	_ = describe(s)
 }
 
-// GoodOpened shows the sanitized flow: the engine's Open is a
-// sanctioned declassification point, so the opened int64 may be
-// logged freely.
-func GoodOpened(e *bgw.Engine, s *bgw.Shared) {
-	fmt.Printf("opened: %d\n", e.Open(s))
+// BadConverted leaks the additive addends an evaluator converts a kept
+// sharing to: the conversion's result is share material even though
+// its type is plain field elements and no share-typed value is named.
+func BadConverted(e bgw.Evaluator, w []field.Elem) {
+	fmt.Println(e.AdditiveShares(e.Keep(0), w)) // want "flows to fmt sink through an interprocedural path; .* \[source \(bgw.Evaluator\).AdditiveShares"
+}
+
+// GoodOpened shows the sanitized flow: the result of a plan run over
+// shared columns carries their taint, but Result.Opened is a sanctioned
+// declassification point, so the opened int64 may be logged freely.
+func GoodOpened(plan *circuit.Plan, e bgw.Evaluator, col bgw.Vec) {
+	res, err := plan.Execute(e, circuit.Bindings{ExtVecs: []bgw.Vec{col}})
+	if err != nil {
+		return
+	}
+	fmt.Printf("opened: %d\n", res.Opened(0))
 }
 
 // Suppressed shows a reviewed escape hatch.
